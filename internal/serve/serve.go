@@ -129,7 +129,7 @@ type Daemon struct {
 
 	epochs      *obs.Counter  // serve_epochs_total
 	epochErrors *obs.Counter  // serve_epoch_errors_total
-	epochWall   *obs.Quantile // serve_epoch_wall_seconds (daemon loop)
+	epochWall   *obs.Quantile // serve_daemon_epoch_seconds
 	epochGauge  *obs.Gauge    // serve_epoch
 	applied     *obs.Counter  // serve_config_applied_total
 	rejected    *obs.Counter  // serve_config_rejected_total

@@ -11,6 +11,7 @@ import (
 	"mmtag/internal/mac"
 	"mmtag/internal/obs"
 	"mmtag/internal/tag"
+	"mmtag/internal/vanatta"
 )
 
 // Placement positions one tag in the AP's polar frame.
@@ -50,17 +51,87 @@ type Interferer struct {
 // Network is an AP plus a set of placed tags over a propagation model.
 // It implements mac.Medium from first principles: every SNR the MAC sees
 // comes out of the monostatic backscatter link budget.
+//
+// A Network is not safe for concurrent use: every query steers the
+// shared AP and reuses the network's query memo and Link.
 type Network struct {
-	AP          *ap.AP
+	AP *ap.AP
+	// PathLoss is the one-way propagation model. Set it before the
+	// first query: the interference memo prices each beam through it.
 	PathLoss    channel.PathLoss
 	tags        map[uint8]*Placement
 	interferers []Interferer
+
+	// memo holds the rate-invariant factors of recent queries; query is
+	// the Link every query rebuilds in place (see link).
+	memo  queryMemo
+	query channel.Link
 
 	// Instrumentation (all nil-safe; see Instrument).
 	linkObs    *channel.LinkObs
 	snrQueries *obs.Counter
 	inaudible  *obs.Counter
 }
+
+// interfSlotBits sizes the direct-mapped interference memo at 64 slots,
+// well above the 24 beams of a deployment cell's codebook, so a cell's
+// queries compute the interference sum about once per beam.
+const interfSlotBits = 6
+
+// queryMemo caches the parts of an SNR query that do not depend on the
+// rate, which mac.PickRate otherwise recomputes for every entry of the
+// rate ladder. Each entry is keyed on the exact bits of every input its
+// value is computed from and is filled by the same call the query would
+// make, so a hit returns the value a cold query computes, bit for bit.
+// Keys hold pointers (AP, tag array), never tag IDs: a placement is
+// mutated in place by the mobility runner, and its new azimuth or
+// orientation must miss.
+type queryMemo struct {
+	// interf is the co-channel interference sum per (AP, beam),
+	// direct-mapped on the beam bits.
+	interf [1 << interfSlotBits]interfMemo
+	// apGain is the AP gain toward the last (AP, beam, tag azimuth).
+	apGain gainMemo
+	// refl is the query Link's reflector: the tag array's monostatic
+	// gain at the last (array, orientation).
+	refl reflMemo
+}
+
+type interfMemo struct {
+	ap   *ap.AP
+	beam uint64
+	w    float64
+}
+
+type gainMemo struct {
+	ap       *ap.AP
+	beam, az uint64
+	gain     float64
+}
+
+// reflMemo is the vanatta.Reflector a query's Link prices: the placed
+// tag's array, with the monostatic gain of the last (array, angle) it
+// evaluated remembered.
+type reflMemo struct {
+	// arr is the array of the tag being queried.
+	arr *vanatta.Array
+
+	key   *vanatta.Array
+	theta uint64
+	gain  float64
+}
+
+// MonostaticGain implements vanatta.Reflector.
+func (m *reflMemo) MonostaticGain(theta float64) float64 {
+	bits := math.Float64bits(theta)
+	if m.key == nil || m.key != m.arr || m.theta != bits {
+		m.key, m.theta, m.gain = m.arr, bits, m.arr.MonostaticGain(theta)
+	}
+	return m.gain
+}
+
+// Name implements vanatta.Reflector.
+func (m *reflMemo) Name() string { return m.arr.Name() }
 
 // NewNetwork builds an empty network around an AP. A nil pathloss means
 // free space at the AP's carrier.
@@ -102,6 +173,7 @@ func (n *Network) AddTag(p Placement) error {
 		return fmt.Errorf("sim: duplicate tag ID %d", id)
 	}
 	n.tags[id] = &p
+	n.memo = queryMemo{}
 	return nil
 }
 
@@ -130,31 +202,51 @@ func (n *Network) AddInterferer(i Interferer) error {
 		return fmt.Errorf("sim: interferer needs positive distance and EIRP")
 	}
 	n.interferers = append(n.interferers, i)
+	n.memo = queryMemo{}
 	return nil
 }
 
-// InterferenceW returns the total co-channel interference power at the
-// victim receiver for the AP's current steering.
-func (n *Network) interferenceW() float64 {
+// interferenceW returns the total co-channel interference power at the
+// victim receiver with the AP steered at beamRad, memoized per beam.
+func (n *Network) interferenceW(beamRad float64) float64 {
+	bits := math.Float64bits(beamRad)
+	m := &n.memo.interf[(bits*0x9e3779b97f4a7c15)>>(64-interfSlotBits)]
+	if m.ap == n.AP && m.beam == bits {
+		return m.w
+	}
 	total := 0.0
 	for _, i := range n.interferers {
 		rxGain := n.AP.GainToward(i.AzimuthRad)
 		total += i.EIRPW * rxGain / n.PathLoss.Loss(i.DistanceM)
 	}
+	*m = interfMemo{ap: n.AP, beam: bits, w: total}
 	return total
 }
 
+// apGain returns the AP gain toward azRad with the AP steered at
+// beamRad, memoized for the last (beam, azimuth).
+func (n *Network) apGain(beamRad, azRad float64) float64 {
+	beam, az := math.Float64bits(beamRad), math.Float64bits(azRad)
+	m := &n.memo.apGain
+	if m.ap != n.AP || m.beam != beam || m.az != az {
+		*m = gainMemo{ap: n.AP, beam: beam, az: az, gain: n.AP.GainToward(azRad)}
+	}
+	return m.gain
+}
+
 // link assembles the budget for a tag under a given beam and modulation
-// efficiency.
+// efficiency into the network's query Link, which stays valid until the
+// next query.
 func (n *Network) link(p *Placement, beamRad, efficiency float64) *channel.Link {
 	n.AP.Steer(beamRad)
-	return &channel.Link{
+	n.memo.refl.arr = p.Device.Array()
+	n.query = channel.Link{
 		Obs:           n.linkObs,
-		InterferenceW: n.interferenceW(),
+		InterferenceW: n.interferenceW(beamRad),
 		FreqHz:        n.AP.Config().FreqHz,
 		TxPowerW:      n.AP.Config().TxPowerW,
-		APGain:        n.AP.GainToward(p.AzimuthRad),
-		Reflector:     p.Device.Array(),
+		APGain:        n.apGain(beamRad, p.AzimuthRad),
+		Reflector:     &n.memo.refl,
 		TagAngleRad:   p.OrientationRad,
 		DistanceM:     p.DistanceM,
 		PathLoss:      n.PathLoss,
@@ -162,6 +254,7 @@ func (n *Network) link(p *Placement, beamRad, efficiency float64) *channel.Link 
 		NoiseFigureDB: n.AP.Config().NoiseFigureDB,
 		MiscLossDB:    p.ExtraLossDB,
 	}
+	return &n.query
 }
 
 // SNR implements mac.Medium: the uplink SNR in the rate's symbol-rate

@@ -63,6 +63,11 @@ func TestEngineNegativeDelayPanics(t *testing.T) {
 
 func newTag(t *testing.T, id uint8, elements int) *tag.Tag {
 	t.Helper()
+	return newModTag(t, id, elements, vanatta.OOK())
+}
+
+func newModTag(t *testing.T, id uint8, elements int, mod vanatta.StateSet) *tag.Tag {
+	t.Helper()
 	arr, err := vanatta.New(vanatta.Config{Elements: elements, InsertionLossDB: 1.5})
 	if err != nil {
 		t.Fatal(err)
@@ -70,7 +75,7 @@ func newTag(t *testing.T, id uint8, elements int) *tag.Tag {
 	tg, err := tag.New(tag.Config{
 		ID:             id,
 		Array:          arr,
-		Modulation:     vanatta.OOK(),
+		Modulation:     mod,
 		SwitchRiseTime: 2e-9,
 	})
 	if err != nil {
