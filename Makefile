@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: check fmt vet build test race bench bench-json bench-check bench-batch fuzz docs serve-smoke soak router-soak
+.PHONY: check fmt vet build test race bench bench-json bench-check bench-batch fuzz docs loc serve-smoke soak router-soak
 
 check: fmt vet build race docs
 
@@ -12,6 +12,12 @@ check: fmt vet build race docs
 docs:
 	sh scripts/pkgdoc_lint.sh
 	sh scripts/mdlink_check.sh
+
+# Non-test Go lines per package, then the total — the figure deletion
+# work reports in CHANGES.md. PKGS narrows it, e.g.
+# make loc PKGS="internal/serve internal/router".
+loc:
+	sh scripts/loc.sh $(PKGS)
 
 fmt:
 	@out="$$(gofmt -l .)"; \

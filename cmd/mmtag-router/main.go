@@ -43,7 +43,7 @@ import (
 	"strings"
 	"time"
 
-	"mmtag/internal/obs"
+	obsserve "mmtag/internal/obs/serve"
 	"mmtag/internal/router"
 )
 
@@ -131,38 +131,12 @@ func run(o options) error {
 		clean = rt.WaitSignal()
 	}
 
-	if err := flushMetrics(rt.Registry(), o.metrics, o.out); err != nil {
+	if err := obsserve.FlushMetrics(rt.Registry(), o.metrics, o.out); err != nil {
 		return err
 	}
 	if !clean {
 		return fmt.Errorf("drain deadline hit: in-flight requests were force-closed")
 	}
 	fmt.Fprintln(o.out, "mmtag-router: drained cleanly")
-	return nil
-}
-
-// flushMetrics writes the final registry snapshot in Prometheus text
-// form to path ("-" = w, "" = skip) — the drain contract's last step.
-func flushMetrics(reg *obs.Registry, path string, w io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	var dst io.Writer = w
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	} else {
-		fmt.Fprintf(w, "\nfinal metrics:\n")
-	}
-	if err := reg.Snapshot().WritePrometheus(dst); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Fprintf(w, "wrote final metrics to %s\n", path)
-	}
 	return nil
 }

@@ -50,7 +50,7 @@ import (
 
 	"mmtag/internal/fault"
 	"mmtag/internal/net"
-	"mmtag/internal/obs"
+	obsserve "mmtag/internal/obs/serve"
 	"mmtag/internal/serve"
 )
 
@@ -170,7 +170,7 @@ func run(o options) error {
 		clean = d.WaitSignal()
 	}
 
-	if err := flushMetrics(d.Registry(), o.metrics, o.out); err != nil {
+	if err := obsserve.FlushMetrics(d.Registry(), o.metrics, o.out); err != nil {
 		return err
 	}
 	if !clean {
@@ -196,30 +196,4 @@ func parseShard(s string) (net.ShardSpec, error) {
 		return net.ShardSpec{}, fmt.Errorf("-shard %q: index must be in 0..N-1", s)
 	}
 	return net.ShardSpec{Index: idx, Count: count}, nil
-}
-
-// flushMetrics writes the final registry snapshot in Prometheus text
-// form to path ("-" = w, "" = skip) — the drain contract's last step.
-func flushMetrics(reg *obs.Registry, path string, w io.Writer) error {
-	if path == "" {
-		return nil
-	}
-	var dst io.Writer = w
-	if path != "-" {
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		dst = f
-	} else {
-		fmt.Fprintf(w, "\nfinal metrics:\n")
-	}
-	if err := reg.Snapshot().WritePrometheus(dst); err != nil {
-		return err
-	}
-	if path != "-" {
-		fmt.Fprintf(w, "wrote final metrics to %s\n", path)
-	}
-	return nil
 }

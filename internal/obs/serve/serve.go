@@ -4,7 +4,10 @@
 // server-sent events (/events) through bounded fan-out buffers with
 // dropped-event accounting, and mounts the runtime profiler
 // (/debug/pprof/*) plus a liveness probe (/healthz). cmd/mmtag-sim and
-// cmd/mmtag-bench mount it behind their -serve flag.
+// cmd/mmtag-bench mount it behind their -serve flag. The services built
+// on it (internal/serve, internal/router) share its Gate, one
+// serving/draining lifecycle, and FlushMetrics, the final flush of
+// their CLIs.
 //
 // DESIGN.md: section 8 (live observability and cost attribution); the
 // server is a read-only window onto a run — it never feeds anything
@@ -63,8 +66,8 @@ type Config struct {
 	MaxHeaderBytes    int
 	// Mount, when non-nil, registers extra routes on the server's mux
 	// before it starts serving — the hook the inventory daemon
-	// (internal/serve) uses to add its REST endpoints to this
-	// observability surface.
+	// (internal/serve) and the router (internal/router) use to add
+	// their REST endpoints to this observability surface.
 	Mount func(mux *http.ServeMux)
 }
 
@@ -279,11 +282,18 @@ func (s *Server) Close() error {
 // mid-run is honored here instead of killing the process.
 func (s *Server) WaitSignal(w io.Writer) {
 	fmt.Fprintf(w, "serving observability on %s (SIGINT to exit)\n", s.URL())
+	s.AwaitSignal()
+	s.Close()
+}
+
+// AwaitSignal blocks until SIGINT/SIGTERM arrives or the server is
+// closed. It is the process's one signal registration, so a host that
+// drains on a signal (a Gate) waits here instead of registering its own.
+func (s *Server) AwaitSignal() {
 	select {
 	case <-s.sigCh:
 	case <-s.done:
 	}
-	s.Close()
 }
 
 // subscribe registers a new SSE client and returns its id, channel and

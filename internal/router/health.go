@@ -78,13 +78,6 @@ func (rt *Router) probeAll() {
 // fleet view. Like the shard tier, it sits outside the drain gate so
 // monitoring keeps working while draining.
 func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
-	state := "serving"
-	switch rt.state.Load() {
-	case stateDraining:
-		state = "draining"
-	case stateClosed:
-		state = "closed"
-	}
 	shards := make([]map[string]any, len(rt.shards))
 	up := 0
 	for i, s := range rt.shards {
@@ -110,7 +103,7 @@ func (rt *Router) handleStatus(w http.ResponseWriter, r *http.Request) {
 	}
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(map[string]any{ //nolint:errcheck
-		"state":          state,
+		"state":          rt.State(),
 		"uptime_seconds": time.Since(rt.started).Seconds(),
 		"shards_total":   len(rt.shards),
 		"shards_ok":      up,

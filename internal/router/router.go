@@ -22,25 +22,13 @@ package router
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
-	"strconv"
 	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mmtag/internal/net"
 	"mmtag/internal/obs"
 	obsserve "mmtag/internal/obs/serve"
-)
-
-// Router states mirror the shard daemon's drain machine: requests are
-// admitted only while serving.
-const (
-	stateServing int32 = iota
-	stateDraining
-	stateClosed
 )
 
 // Config parameterizes a Router.
@@ -76,9 +64,6 @@ type Config struct {
 	RunID string
 	// Registry receives every instrument; fresh when nil.
 	Registry *obs.Registry
-	// Obs overrides the observability server's knobs (Addr, Registry
-	// and RunID are owned by the router).
-	Obs obsserve.Config
 	// Client overrides the upstream HTTP client (tests).
 	Client *http.Client
 }
@@ -118,8 +103,11 @@ type shardState struct {
 	tags atomic.Pointer[tagsCache]
 }
 
-// Router is a running inventory-routing tier.
+// Router is a running inventory-routing tier. Its embedded Gate is the
+// same drain state machine the shard daemon runs.
 type Router struct {
+	obsserve.Gate
+
 	cfg    Config
 	reg    *obs.Registry
 	obsSrv *obsserve.Server
@@ -129,13 +117,11 @@ type Router struct {
 	// slot per shard before issuing anything.
 	sem chan struct{}
 
-	state     atomic.Int32
-	inflight  atomic.Int64
 	started   time.Time
 	reloadMu  sync.Mutex // one rolling reload at a time
 	stopProbe chan struct{}
 	probeDone chan struct{}
-	sigCh     chan os.Signal
+	stopOnce  sync.Once
 
 	requests    *obs.CounterVec  // router_requests_total{route,code}
 	fanout      *obs.QuantileVec // router_fanout_seconds{route}
@@ -177,7 +163,6 @@ func Start(cfg Config) (*Router, error) {
 		sem:       make(chan struct{}, cfg.MaxInflight),
 		stopProbe: make(chan struct{}),
 		probeDone: make(chan struct{}),
-		sigCh:     make(chan os.Signal, 1),
 	}
 	rt.client = cfg.Client
 	if rt.client == nil {
@@ -216,18 +201,7 @@ func Start(cfg Config) (*Router, error) {
 		"Config reloads rejected by router-side validation before touching any shard.")
 	reg.Gauge("router_shards", "Fleet size the router fronts.").Set(float64(len(cfg.Shards)))
 
-	obsCfg := cfg.Obs
-	obsCfg.Addr = cfg.Addr
-	obsCfg.Registry = reg
-	obsCfg.RunID = runID
-	userMount := cfg.Obs.Mount
-	obsCfg.Mount = func(mux *http.ServeMux) {
-		rt.mount(mux)
-		if userMount != nil {
-			userMount(mux)
-		}
-	}
-	srv, err := obsserve.Start(obsCfg)
+	srv, err := obsserve.Start(obsserve.Config{Addr: cfg.Addr, Registry: reg, RunID: runID, Mount: rt.mount})
 	if err != nil {
 		return nil, err
 	}
@@ -237,7 +211,6 @@ func Start(cfg Config) (*Router, error) {
 	// first request, then the background prober takes over.
 	rt.probeAll()
 	go rt.probeLoop()
-	signal.Notify(rt.sigCh, os.Interrupt, syscall.SIGTERM)
 	return rt, nil
 }
 
@@ -256,96 +229,48 @@ func (rt *Router) URL() string  { return rt.obsSrv.URL() }
 func (rt *Router) Registry() *obs.Registry { return rt.reg }
 
 // mount registers the routing surface; /metrics, /events, /healthz and
-// /debug/pprof are inherited from internal/obs/serve.
+// /debug/pprof are inherited from internal/obs/serve. The drain gate
+// counts every routed outcome in router_requests_total.
 func (rt *Router) mount(mux *http.ServeMux) {
-	mux.HandleFunc("GET /v1/tags", rt.guard("tags", rt.handleTags))
-	mux.HandleFunc("GET /v1/tags/{id}", rt.guard("tag", rt.handleTag))
-	mux.HandleFunc("GET /v1/report", rt.guard("report", rt.handleReport))
+	mux.HandleFunc("GET /v1/tags", rt.Guard("tags", rt.requests, rt.handleTags))
+	mux.HandleFunc("GET /v1/tags/{id}", rt.Guard("tag", rt.requests, rt.handleTag))
+	mux.HandleFunc("GET /v1/report", rt.Guard("report", rt.requests, rt.handleReport))
 	mux.HandleFunc("GET /v1/status", rt.handleStatus)
-	mux.HandleFunc("GET /v1/config", rt.guard("config", rt.handleConfigGet))
-	mux.HandleFunc("POST /v1/config", rt.guard("config", rt.handleConfigPost))
+	mux.HandleFunc("GET /v1/config", rt.Guard("config", rt.requests, rt.handleConfigGet))
+	mux.HandleFunc("POST /v1/config", rt.Guard("config", rt.requests, rt.handleConfigPost))
 	// The documented hot-reload entry point, mirroring the shard tier.
-	mux.HandleFunc("POST /config", rt.guard("config", rt.handleConfigPost))
-}
-
-// statusRecorder captures the handler's status code for the per-route
-// counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
-}
-
-// guard wraps a routed handler with the drain gate, in-flight
-// accounting and the per-route request counter. The inflight counter is
-// incremented before the state recheck so Drain cannot miss a request
-// that slipped past the first gate.
-func (rt *Router) guard(route string, h http.HandlerFunc) http.HandlerFunc {
-	return func(w http.ResponseWriter, r *http.Request) {
-		if rt.state.Load() != stateServing {
-			rt.refuseDraining(w, route)
-			return
-		}
-		rt.inflight.Add(1)
-		defer rt.inflight.Add(-1)
-		if rt.state.Load() != stateServing {
-			rt.refuseDraining(w, route)
-			return
-		}
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
-		h(rec, r)
-		rt.requests.With(route, strconv.Itoa(rec.code)).Inc()
-	}
-}
-
-func (rt *Router) refuseDraining(w http.ResponseWriter, route string) {
-	rt.requests.With(route, "503").Inc()
-	w.Header().Set("Connection", "close")
-	http.Error(w, "draining", http.StatusServiceUnavailable)
+	mux.HandleFunc("POST /config", rt.Guard("config", rt.requests, rt.handleConfigPost))
 }
 
 // WaitSignal blocks until SIGINT/SIGTERM, then drains gracefully.
 func (rt *Router) WaitSignal() bool {
-	<-rt.sigCh
+	rt.obsSrv.AwaitSignal()
 	return rt.Drain()
 }
 
 // Drain refuses new requests with 503, waits for in-flight requests
 // under DrainTimeout, stops the prober and closes the listener. Returns
-// true when nothing had to be cut off; later calls no-op and report
-// true.
+// true when nothing had to be cut off; later calls wait for the first
+// to finish and report true.
 func (rt *Router) Drain() bool {
-	if !rt.state.CompareAndSwap(stateServing, stateDraining) {
-		return true
-	}
-	signal.Stop(rt.sigCh)
-	clean := true
-	deadline := time.Now().Add(rt.cfg.DrainTimeout)
-	for rt.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			clean = false
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(rt.stopProbe)
-	<-rt.probeDone
-	rt.obsSrv.Close()
-	rt.state.Store(stateClosed)
+	clean := rt.Gate.Drain(rt.cfg.DrainTimeout)
+	rt.stop()
 	return clean
 }
 
 // Close force-stops the router without the graceful wait (tests).
 func (rt *Router) Close() {
-	if rt.state.CompareAndSwap(stateServing, stateDraining) {
-		signal.Stop(rt.sigCh)
+	rt.Gate.Drain(0)
+	rt.stop()
+}
+
+// stop runs once after the gate has drained: stop the prober and close
+// the listener.
+func (rt *Router) stop() {
+	rt.stopOnce.Do(func() {
 		close(rt.stopProbe)
 		<-rt.probeDone
 		rt.obsSrv.Close()
-		rt.state.Store(stateClosed)
-	}
+		rt.Gate.Close()
+	})
 }

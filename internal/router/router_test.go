@@ -463,8 +463,8 @@ func TestDrainRefusesRoutedWork(t *testing.T) {
 	if !rt.Drain() {
 		t.Fatal("drain with no in-flight work reported unclean")
 	}
-	if got := rt.state.Load(); got != stateClosed {
-		t.Fatalf("state after drain = %d", got)
+	if got := rt.State(); got != "closed" {
+		t.Fatalf("state after drain = %q", got)
 	}
 	// Drain is idempotent.
 	if !rt.Drain() {

@@ -60,7 +60,6 @@ type admission struct {
 	depth    *obs.Gauge       // serve_queue_depth
 	inflight *obs.Gauge       // serve_inflight_requests
 	latency  *obs.QuantileVec // serve_request_seconds{route}
-	requests *obs.CounterVec  // serve_requests_total{route,code}
 }
 
 func newAdmission(cfg AdmissionConfig, reg *obs.Registry) *admission {
@@ -81,8 +80,6 @@ func newAdmission(cfg AdmissionConfig, reg *obs.Registry) *admission {
 			"REST requests currently executing.")
 		a.latency = reg.QuantileVec("serve_request_seconds",
 			"End-to-end REST request latency (reservoir-sampled p50/p90/p99).", "route")
-		a.requests = reg.CounterVec("serve_requests_total",
-			"REST requests served, by route and status code.", "route", "code")
 	}
 	return a
 }
@@ -109,9 +106,8 @@ func (a *admission) observeService(d time.Duration) {
 }
 
 // shedReply emits the 429 with a Retry-After priced off the queue.
-func (a *admission) shedReply(w http.ResponseWriter, route, reason string) {
+func (a *admission) shedReply(w http.ResponseWriter, reason string) {
 	a.shed.With(reason).Inc()
-	a.requests.With(route, "429").Inc()
 	retry := time.Duration(a.estWaitNs(a.queued.Load())) + a.cfg.RequestTimeout
 	secs := int(math.Ceil(retry.Seconds()))
 	if secs < 1 {
@@ -120,18 +116,6 @@ func (a *admission) shedReply(w http.ResponseWriter, route, reason string) {
 	w.Header().Set("Retry-After", strconv.Itoa(secs))
 	http.Error(w, fmt.Sprintf("overloaded (%s), retry after %ds", reason, secs),
 		http.StatusTooManyRequests)
-}
-
-// statusRecorder captures the handler's status code for the per-route
-// counter.
-type statusRecorder struct {
-	http.ResponseWriter
-	code int
-}
-
-func (r *statusRecorder) WriteHeader(code int) {
-	r.code = code
-	r.ResponseWriter.WriteHeader(code)
 }
 
 // wrap guards one REST handler with the admission queue. The handler
@@ -146,7 +130,7 @@ func (a *admission) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		}
 		if queued > int64(a.cfg.MaxQueue) {
 			dequeue()
-			a.shedReply(w, route, "queue_full")
+			a.shedReply(w, "queue_full")
 			return
 		}
 		// Deadline-aware shedding: if the expected queue wait alone
@@ -155,7 +139,7 @@ func (a *admission) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 		// moment.
 		if est := a.estWaitNs(queued - 1); est > int64(a.cfg.RequestTimeout) {
 			dequeue()
-			a.shedReply(w, route, "deadline")
+			a.shedReply(w, "deadline")
 			return
 		}
 		ctx, cancel := context.WithTimeout(r.Context(), a.cfg.RequestTimeout)
@@ -165,21 +149,19 @@ func (a *admission) wrap(route string, h http.HandlerFunc) http.HandlerFunc {
 			dequeue()
 		case <-ctx.Done():
 			dequeue()
-			a.shedReply(w, route, "deadline")
+			a.shedReply(w, "deadline")
 			return
 		}
 		a.admitted.Inc()
 		a.inflight.Add(1)
 		start := time.Now()
-		rec := &statusRecorder{ResponseWriter: w, code: http.StatusOK}
 		defer func() {
 			<-a.slots
 			a.inflight.Add(-1)
 			d := time.Since(start)
 			a.observeService(d)
 			a.latency.With(route).Observe(d.Seconds())
-			a.requests.With(route, strconv.Itoa(rec.code)).Inc()
 		}()
-		h(rec, r.WithContext(ctx))
+		h(w, r.WithContext(ctx))
 	}
 }

@@ -33,6 +33,9 @@ func (d *Daemon) mount(mux *http.ServeMux) {
 	// The issue-facing alias: POST /config is the documented hot-reload
 	// entry point.
 	mux.HandleFunc("POST /config", d.guard("config", d.handleConfigPost))
+	if d.cfg.testMount != nil {
+		d.cfg.testMount(mux)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, body []byte, err error) {
@@ -76,21 +79,14 @@ func (d *Daemon) handleReport(w http.ResponseWriter, r *http.Request) {
 // outside the admission queue so probes and drain monitoring keep
 // working under overload and during drain.
 func (d *Daemon) handleStatus(w http.ResponseWriter, r *http.Request) {
-	state := "serving"
-	switch d.state.Load() {
-	case stateDraining:
-		state = "draining"
-	case stateClosed:
-		state = "closed"
-	}
 	snap := d.Snapshot()
 	body := map[string]any{
-		"state":             state,
+		"state":             d.State(),
 		"epoch":             snap.Epoch,
 		"config_generation": snap.Generation,
 		"faults":            snap.FaultSpec,
 		"uptime_seconds":    time.Since(d.started).Seconds(),
-		"inflight":          d.inflight.Load(),
+		"inflight":          d.Inflight(),
 	}
 	if d.sharded {
 		// The shard identity block is the router's source of truth for

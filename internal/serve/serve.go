@@ -18,10 +18,8 @@ package serve
 import (
 	"fmt"
 	"net/http"
-	"os"
-	"os/signal"
+	"sync"
 	"sync/atomic"
-	"syscall"
 	"time"
 
 	"mmtag/internal/fault"
@@ -30,14 +28,6 @@ import (
 	obsserve "mmtag/internal/obs/serve"
 	"mmtag/internal/par"
 	"mmtag/internal/trace"
-)
-
-// Daemon states. Requests are admitted only while serving; draining
-// refuses new REST work with 503 while in-flight requests finish.
-const (
-	stateServing int32 = iota
-	stateDraining
-	stateClosed
 )
 
 // Config parameterizes a Daemon.
@@ -76,14 +66,13 @@ type Config struct {
 	Registry *obs.Registry
 	// Admission bounds the REST request path.
 	Admission AdmissionConfig
-	// Obs overrides the observability server's knobs. Addr, Registry
-	// and RunID are owned by the daemon; a caller-supplied Mount is
-	// chained after the daemon's own routes.
-	Obs obsserve.Config
 
 	// stepWrap, when set (tests), wraps the epoch step function — the
 	// hook that lets the rollback path be exercised deterministically.
 	stepWrap func(step func() error) func() error
+	// testMount, when set (tests), registers extra routes after the
+	// daemon's own.
+	testMount func(mux *http.ServeMux)
 }
 
 func (c Config) withDefaults() Config {
@@ -99,8 +88,11 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Daemon is a running continuous-inventory service.
+// Daemon is a running continuous-inventory service. Its embedded Gate
+// is the drain state machine in front of the REST surface.
 type Daemon struct {
+	obsserve.Gate
+
 	cfg    Config
 	reg    *obs.Registry
 	dep    *net.Deployment
@@ -110,22 +102,21 @@ type Daemon struct {
 	rec    *trace.Recorder
 	obsSrv *obsserve.Server
 
-	admit *admission
-	snap  atomic.Pointer[Snapshot]
+	admit    *admission
+	requests *obs.CounterVec // serve_requests_total{route,code}
+	snap     atomic.Pointer[Snapshot]
 
 	// sharded marks a fleet member; shard is its resolved slice.
 	sharded bool
 	shard   net.ShardSpec
 
-	state      atomic.Int32
-	inflight   atomic.Int64
 	started    time.Time
 	generation atomic.Int64
 	faultSpec  string // epoch-loop goroutine only
 	cfgCh      chan *cfgChange
 	stopLoop   chan struct{}
 	loopDone   chan struct{}
-	sigCh      chan os.Signal
+	stopOnce   sync.Once
 
 	epochs      *obs.Counter  // serve_epochs_total
 	epochErrors *obs.Counter  // serve_epoch_errors_total
@@ -176,9 +167,10 @@ func Start(cfg Config) (*Daemon, error) {
 		cfgCh:    make(chan *cfgChange, 1),
 		stopLoop: make(chan struct{}),
 		loopDone: make(chan struct{}),
-		sigCh:    make(chan os.Signal, 1),
 	}
 	d.admit = newAdmission(cfg.Admission, reg)
+	d.requests = reg.CounterVec("serve_requests_total",
+		"REST requests served, by route and status code.", "route", "code")
 	d.epochs = reg.Counter("serve_epochs_total", "Association epochs completed by the live deployment.")
 	d.epochErrors = reg.Counter("serve_epoch_errors_total", "Epoch runs that failed (excluding rolled-back config trials).")
 	d.epochWall = reg.Quantile("serve_daemon_epoch_seconds", "Wall-clock cost of one daemon epoch (step + snapshot).")
@@ -207,18 +199,7 @@ func Start(cfg Config) (*Daemon, error) {
 		d.faultSpec = p.String()
 	}
 
-	obsCfg := cfg.Obs
-	obsCfg.Addr = cfg.Addr
-	obsCfg.Registry = reg
-	obsCfg.RunID = runID
-	userMount := cfg.Obs.Mount
-	obsCfg.Mount = func(mux *http.ServeMux) {
-		d.mount(mux)
-		if userMount != nil {
-			userMount(mux)
-		}
-	}
-	srv, err := obsserve.Start(obsCfg)
+	srv, err := obsserve.Start(obsserve.Config{Addr: cfg.Addr, Registry: reg, RunID: runID, Mount: d.mount})
 	if err != nil {
 		d.pool.Close()
 		return nil, err
@@ -235,7 +216,6 @@ func Start(cfg Config) (*Daemon, error) {
 	}
 	d.publishSnapshot()
 
-	signal.Notify(d.sigCh, os.Interrupt, syscall.SIGTERM)
 	go d.loop()
 	return d, nil
 }
@@ -295,10 +275,15 @@ func (d *Daemon) loop() {
 		if pending != nil {
 			d.generation.Add(1)
 			d.applied.Inc()
-			pending.result <- nil
 		}
 		d.epochs.Inc()
 		d.publishSnapshot()
+		if pending != nil {
+			// Acknowledge only once the snapshot carries the new
+			// generation, so a client that reads back after the 200
+			// sees its own write.
+			pending.result <- nil
+		}
 		d.epochWall.Observe(time.Since(start).Seconds())
 		if wait := d.cfg.EpochInterval - time.Since(start); wait > 0 {
 			select {
@@ -328,84 +313,54 @@ func (d *Daemon) publishSnapshot() {
 // Snapshot returns the latest published view (never nil after Start).
 func (d *Daemon) Snapshot() *Snapshot { return d.snap.Load() }
 
-// guard wraps a REST handler with the drain gate, in-flight accounting
-// and the admission queue. The inflight counter is incremented before
-// the state recheck, so Drain's wait cannot miss a request that slipped
-// past the first gate.
+// guard wraps a REST handler with the drain gate and the admission
+// queue; the gate counts every outcome in serve_requests_total.
 func (d *Daemon) guard(route string, h http.HandlerFunc) http.HandlerFunc {
-	admitted := d.admit.wrap(route, h)
-	return func(w http.ResponseWriter, r *http.Request) {
-		if d.state.Load() != stateServing {
-			d.refuseDraining(w, route)
-			return
-		}
-		d.inflight.Add(1)
-		defer d.inflight.Add(-1)
-		if d.state.Load() != stateServing {
-			d.refuseDraining(w, route)
-			return
-		}
-		admitted(w, r)
-	}
-}
-
-func (d *Daemon) refuseDraining(w http.ResponseWriter, route string) {
-	d.admit.requests.With(route, "503").Inc()
-	w.Header().Set("Connection", "close")
-	http.Error(w, "draining", http.StatusServiceUnavailable)
+	return d.Guard(route, d.requests, d.admit.wrap(route, h))
 }
 
 // WaitSignal blocks until SIGINT/SIGTERM, then drains gracefully.
 // Returns true when the drain finished before the deadline.
 func (d *Daemon) WaitSignal() bool {
-	<-d.sigCh
+	d.obsSrv.AwaitSignal()
 	return d.Drain()
 }
 
 // Drain executes the shutdown state machine: refuse new REST requests
-// (503), wait for in-flight requests up to DrainTimeout, stop the epoch
-// loop, publish a final snapshot and close the listener (force-closing
-// anything still stalled). Returns true when no in-flight request had
-// to be cut off; safe to call once (later calls no-op and report true).
+// (503), wait for in-flight requests up to DrainTimeout, then stop.
+// Returns true when no in-flight request had to be cut off; later calls
+// wait for the first to finish and report true.
 func (d *Daemon) Drain() bool {
-	if !d.state.CompareAndSwap(stateServing, stateDraining) {
-		return true
+	clean := d.Gate.Drain(d.cfg.DrainTimeout)
+	if !clean {
+		d.drainForced.Inc()
 	}
-	signal.Stop(d.sigCh)
-	clean := true
-	deadline := time.Now().Add(d.cfg.DrainTimeout)
-	for d.inflight.Load() > 0 {
-		if time.Now().After(deadline) {
-			clean = false
-			d.drainForced.Inc()
-			break
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	close(d.stopLoop)
-	<-d.loopDone
-	// A config change staged after the loop exited would hang its
-	// poster; fail it explicitly.
-	select {
-	case pending := <-d.cfgCh:
-		pending.result <- fmt.Errorf("serve: draining")
-	default:
-	}
-	d.publishSnapshot()
-	d.obsSrv.Close()
-	d.pool.Close()
-	d.state.Store(stateClosed)
+	d.stop()
 	return clean
 }
 
 // Close force-stops the daemon without the graceful wait (tests).
 func (d *Daemon) Close() {
-	if d.state.CompareAndSwap(stateServing, stateDraining) {
-		signal.Stop(d.sigCh)
+	d.Gate.Drain(0)
+	d.stop()
+}
+
+// stop runs once after the gate has drained: stop the epoch loop, fail
+// a config change staged after the loop exited (its poster would
+// otherwise hang), publish a final snapshot and close the listener
+// (force-closing anything still stalled) and the pool.
+func (d *Daemon) stop() {
+	d.stopOnce.Do(func() {
 		close(d.stopLoop)
 		<-d.loopDone
+		select {
+		case pending := <-d.cfgCh:
+			pending.result <- fmt.Errorf("serve: draining")
+		default:
+		}
+		d.publishSnapshot()
 		d.obsSrv.Close()
 		d.pool.Close()
-		d.state.Store(stateClosed)
-	}
+		d.Gate.Close()
+	})
 }

@@ -17,6 +17,7 @@ import (
 
 	"mmtag/internal/net"
 	"mmtag/internal/obs"
+	obsserve "mmtag/internal/obs/serve"
 )
 
 // metric digs one counter/gauge value out of a registry snapshot,
@@ -187,10 +188,13 @@ func TestAdmissionShedding(t *testing.T) {
 	}, reg)
 	release := make(chan struct{})
 	entered := make(chan struct{}, 4)
-	srv := httptest.NewServer(a.wrap("slow", func(w http.ResponseWriter, r *http.Request) {
+	// The gate in front of the queue counts every outcome, sheds included.
+	var gate obsserve.Gate
+	requests := reg.CounterVec("serve_requests_total", "REST requests served.", "route", "code")
+	srv := httptest.NewServer(gate.Guard("slow", requests, a.wrap("slow", func(w http.ResponseWriter, r *http.Request) {
 		entered <- struct{}{}
 		<-release
-	}))
+	})))
 	defer srv.Close()
 	defer close(release)
 
@@ -362,7 +366,7 @@ func startDrainDaemon(t *testing.T, drainTimeout time.Duration) (*Daemon, chan s
 	d = startTestDaemon(t, func(cfg *Config) {
 		cfg.DrainTimeout = drainTimeout
 		cfg.Admission.RequestTimeout = 30 * time.Second
-		cfg.Obs.Mount = func(mux *http.ServeMux) {
+		cfg.testMount = func(mux *http.ServeMux) {
 			mux.HandleFunc("GET /test/slow", func(w http.ResponseWriter, r *http.Request) {
 				d.guard("slow", func(w http.ResponseWriter, r *http.Request) {
 					entered <- struct{}{}
@@ -400,7 +404,7 @@ func TestDrainGraceful(t *testing.T) {
 	drained := make(chan bool, 1)
 	go func() { drained <- d.Drain() }()
 	deadline := time.Now().Add(5 * time.Second)
-	for d.state.Load() != stateDraining {
+	for d.State() != "draining" {
 		if time.Now().After(deadline) {
 			t.Fatal("daemon never entered draining")
 		}
@@ -430,8 +434,11 @@ func TestDrainGraceful(t *testing.T) {
 	if got := metric(t, d.Registry(), "serve_drain_forced_total"); got != 0 {
 		t.Errorf("drain_forced = %g, want 0", got)
 	}
-	if d.state.Load() != stateClosed {
-		t.Errorf("state after drain = %d, want closed", d.state.Load())
+	if got := metric(t, d.Registry(), "serve_requests_total", "tags", "503"); got != 1 {
+		t.Errorf("requests{tags,503} = %g, want 1", got)
+	}
+	if got := d.State(); got != "closed" {
+		t.Errorf("state after drain = %q, want closed", got)
 	}
 	// Drain is idempotent once closed.
 	if !d.Drain() {
