@@ -6,12 +6,14 @@ GO ?= go
 
 check: fmt vet build race docs
 
-# Documentation gates: every package has a doc comment (internal ones
-# citing their DESIGN.md section) and every relative markdown link
-# resolves.
+# Documentation and API-shape gates: every package has a doc comment
+# (internal ones citing their DESIGN.md section), every relative
+# markdown link resolves, and no kernel has a twin entry point (a func
+# X beside XTo, XWith or XKern).
 docs:
 	sh scripts/pkgdoc_lint.sh
 	sh scripts/mdlink_check.sh
+	sh scripts/twin_lint.sh
 
 # Non-test Go lines per package, then the total — the figure deletion
 # work reports in CHANGES.md. PKGS narrows it, e.g.

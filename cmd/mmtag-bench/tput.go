@@ -33,7 +33,7 @@ func normNsPerMSymbols(ns, symbols int64) int64 {
 }
 
 // measureTput produces the tput suite rows: one per gated experiment
-// plus the DemodulateBatch microbenchmark.
+// plus the DemodulateBatchTo microbenchmark.
 func measureTput(seed int64, reps int) ([]BenchResult, error) {
 	if reps < 1 {
 		reps = 1

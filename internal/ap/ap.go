@@ -28,6 +28,7 @@ import (
 
 	"mmtag/internal/antenna"
 	"mmtag/internal/channel"
+	"mmtag/internal/dsp"
 	"mmtag/internal/rfmath"
 )
 
@@ -172,23 +173,16 @@ func (a *AP) MinDetectableRatioDB() float64 {
 	return a.DynamicRangeDB()
 }
 
-// Quantize models the ADC: clips x to fullScale amplitude per I/Q rail
-// and rounds to the configured bit depth. It returns a new slice.
-func (a *AP) Quantize(x []complex128, fullScale float64) []complex128 {
-	return a.QuantizeTo(make([]complex128, len(x)), x, fullScale)
-}
-
-// QuantizeTo is Quantize into a caller-provided buffer (grown if too
-// short). dst may alias x for in-place quantization.
+// QuantizeTo models the ADC: it clips x to fullScale amplitude per I/Q
+// rail and rounds to the configured bit depth, writing into dst (grown
+// only when its capacity is short). dst may alias x for in-place
+// quantization.
 func (a *AP) QuantizeTo(dst, x []complex128, fullScale float64) []complex128 {
 	if fullScale <= 0 {
 		panic("ap: ADC full scale must be positive")
 	}
 	levels := math.Pow(2, float64(a.cfg.ADCBits-1)) // per signed rail
-	if cap(dst) < len(x) {
-		dst = make([]complex128, len(x))
-	}
-	out := dst[:len(x)]
+	out := dsp.GrowComplex(dst, len(x))
 	q := func(v float64) float64 {
 		if v > fullScale {
 			v = fullScale

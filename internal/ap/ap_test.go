@@ -88,7 +88,7 @@ func TestUplinkBudgetIntegration(t *testing.T) {
 func TestQuantize(t *testing.T) {
 	a, _ := New(Config{ADCBits: 4})
 	x := []complex128{complex(0.5, -0.25), complex(2.0, -3.0)}
-	y := a.Quantize(x, 1.0)
+	y := a.QuantizeTo(nil, x, 1.0)
 	// Clipping.
 	if real(y[1]) != 1.0 || imag(y[1]) != -1.0 {
 		t.Fatalf("clip failed: %v", y[1])
@@ -107,7 +107,7 @@ func TestQuantizeFloor(t *testing.T) {
 	// cancellation must happen before the ADC.
 	a, _ := New(Config{ADCBits: 8})
 	tiny := []complex128{complex(1e-6, 0)}
-	y := a.Quantize(tiny, 1.0)
+	y := a.QuantizeTo(nil, tiny, 1.0)
 	if real(y[0]) != 0 {
 		t.Fatalf("sub-LSB signal should quantize to zero, got %v", y[0])
 	}
@@ -120,7 +120,7 @@ func TestQuantizePanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	a.Quantize(nil, 0)
+	a.QuantizeTo(nil, nil, 0)
 }
 
 func TestFitGainOffset(t *testing.T) {

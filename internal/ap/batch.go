@@ -33,14 +33,6 @@ type demodScratch struct {
 
 var demodScratchPool = sync.Pool{New: func() interface{} { return new(demodScratch) }}
 
-// DemodulateBatch demodulates every lane of rx — one per-tag waveform
-// per lane, all sampled at sps samples per symbol — and returns one
-// UplinkResult per lane, bit-identical to calling Demodulate on each
-// lane in turn. See DemodulateBatchTo for the allocation-free variant.
-func (d *Demodulator) DemodulateBatch(rx *dsp.Batch, sps int) []UplinkResult {
-	return d.DemodulateBatchTo(nil, rx, sps)
-}
-
 // waveScratch stages one waveform into a single-lane batch for
 // DemodulateWaveform; pooled so the staging buffer is amortized.
 type waveScratch struct {
@@ -65,10 +57,12 @@ func (d *Demodulator) DemodulateWaveform(rx []complex128, sps int) UplinkResult 
 	return res
 }
 
-// DemodulateBatchTo is DemodulateBatch writing into dst (grown only
-// when its capacity is short). With a capacious dst, steady-state
-// passes allocate only what escapes to the caller: decoded frames and
-// formatted per-tag errors.
+// DemodulateBatchTo demodulates every lane of rx — one per-tag waveform
+// per lane, all sampled at sps samples per symbol — into one
+// UplinkResult per lane of dst (grown only when its capacity is short),
+// bit-identical to calling Demodulate on each lane in turn. With a
+// capacious dst, steady-state passes allocate only what escapes to the
+// caller: decoded frames and formatted per-tag errors.
 func (d *Demodulator) DemodulateBatchTo(dst []UplinkResult, rx *dsp.Batch, sps int) []UplinkResult {
 	n := rx.Lanes()
 	if cap(dst) < n {
@@ -96,7 +90,7 @@ func (d *Demodulator) DemodulateBatchTo(dst []UplinkResult, rx *dsp.Batch, sps i
 }
 
 // demodBatchKernel is the fused correlate→equalize→slice→decide kernel
-// behind DemodulateBatch. It is deliberately one function: profiling
+// behind DemodulateBatchTo. It is deliberately one function: profiling
 // attributes the whole batched receive pass (minus the shared dsp
 // transforms) to this frame, so `mmtag-bench -pprof` cost tables name
 // the batch cycles instead of smearing them across stage helpers.

@@ -68,14 +68,14 @@ func buildBatchWaves(t testing.TB, n int, seed int64) ([][]complex128, *Demodula
 	return waves, dem
 }
 
-// DemodulateBatch must produce results deep-equal to N serial
+// DemodulateBatchTo must produce results deep-equal to N serial
 // Demodulate calls, across batch sizes (including the ragged tail sizes
 // a sharded consumer produces) and mixed success/failure lanes.
 func TestDemodulateBatchMatchesSerial(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 64} {
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
 			waves, dem := buildBatchWaves(t, size, int64(1000+size))
-			got := dem.DemodulateBatch(packBatch(waves), 8)
+			got := dem.DemodulateBatchTo(nil, packBatch(waves), 8)
 			if len(got) != size {
 				t.Fatalf("got %d results for %d lanes", len(got), size)
 			}
@@ -104,11 +104,11 @@ func TestDemodulateBatchMatchesSerial(t *testing.T) {
 func TestDemodulateBatchEdgeCases(t *testing.T) {
 	waves, dem := buildBatchWaves(t, 3, 77)
 
-	if got := dem.DemodulateBatch(dsp.NewBatch(0, 0), 8); len(got) != 0 {
+	if got := dem.DemodulateBatchTo(nil, dsp.NewBatch(0, 0), 8); len(got) != 0 {
 		t.Fatalf("empty batch: %d results", len(got))
 	}
 
-	got := dem.DemodulateBatch(packBatch(waves), 1)
+	got := dem.DemodulateBatchTo(nil, packBatch(waves), 1)
 	for i := range got {
 		want := dem.Demodulate(waves[i], 1)
 		if !reflect.DeepEqual(got[i], *want) {

@@ -38,7 +38,7 @@ func multipathUplink(t *testing.T, payload []byte, sps int, echoGain complex128,
 	}
 	wave := mod.Waveform(nil, symbols)
 	// Two-ray multipath: a one-symbol-late echo.
-	wave = channel.ApplyTaps(wave, []channel.Tap{
+	wave = channel.ApplyTapsTo(nil, wave, []channel.Tap{
 		{DelaySamples: 0, Gain: 1},
 		{DelaySamples: sps, Gain: echoGain},
 	})

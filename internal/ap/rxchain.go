@@ -154,15 +154,10 @@ func (d *Demodulator) PreambleSymbolIndices() []int {
 	return out
 }
 
-// integrateAndDump matched-filters an oversampled waveform into one
-// decision point per symbol: the mean of each symbol's later samples
-// (skipping the first quarter, where the switch transition lives).
-func integrateAndDump(x []complex128, sps int) []complex128 {
-	return integrateAndDumpTo(nil, x, sps)
-}
-
-// integrateAndDumpTo is integrateAndDump writing into dst (grown only
-// when its capacity is short).
+// integrateAndDumpTo matched-filters an oversampled waveform into one
+// decision point per symbol, written into dst (grown only when its
+// capacity is short): the mean of each symbol's later samples (skipping
+// the first quarter, where the switch transition lives).
 func integrateAndDumpTo(dst, x []complex128, sps int) []complex128 {
 	n := len(x) / sps
 	out := dsp.GrowComplex(dst, n)
@@ -214,7 +209,7 @@ func (d *Demodulator) Demodulate(rx []complex128, sps int) *UplinkResult {
 		if len(syms) < len(d.centredPre)+1 {
 			continue
 		}
-		lag, score := offsetImmunePeakKern(syms, d.centredPre, d.preKern, ar)
+		lag, score := offsetImmunePeak(syms, d.preKern, ar)
 		if score > bestScore {
 			bestLag, bestScore = lag, score
 			bestSyms = syms
@@ -336,7 +331,7 @@ func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps i
 		if len(syms) < len(d.centredPre)+maxChannelTaps {
 			continue
 		}
-		lag, score := offsetImmunePeakKern(syms, d.centredPre, d.preKern, ar)
+		lag, score := offsetImmunePeak(syms, d.preKern, ar)
 		if lag < 0 || score < 0.4 {
 			continue
 		}
@@ -427,26 +422,15 @@ func preambleFitResidual(stream, pre []complex128, h []complex128, b complex128,
 	return sum / float64(n) / h0
 }
 
-// offsetImmunePeak correlates x against a zero-mean reference and
-// normalizes each window by its own variance, so an arbitrarily large
-// constant offset (the uncancelled self-interference) neither shifts the
-// peak nor deflates the score: with a zero-mean ref the numerator
-// sum((x+c) * conj(ref)) is independent of c, and subtracting the window
-// mean from the energy removes c from the denominator too.
-func offsetImmunePeak(x, ref []complex128) (int, float64) {
-	return offsetImmunePeakWith(x, ref, nil)
-}
-
-// offsetImmunePeakWith is offsetImmunePeak with correlation and
-// prefix-sum scratch borrowed from ar (nil ar allocates fresh).
-func offsetImmunePeakWith(x, ref []complex128, ar *dsp.Arena) (int, float64) {
-	return offsetImmunePeakKern(x, ref, nil, ar)
-}
-
-// offsetImmunePeakKern is offsetImmunePeakWith with an optional cached
-// correlation kernel for ref (nil kern correlates from scratch). kern,
-// when non-nil, must have been built from ref.
-func offsetImmunePeakKern(x, ref []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int, float64) {
+// offsetImmunePeak correlates x against the zero-mean reference of
+// kern and normalizes each window by its own variance, so an arbitrarily
+// large constant offset (the uncancelled self-interference) neither
+// shifts the peak nor deflates the score: with a zero-mean ref the
+// numerator sum((x+c) * conj(ref)) is independent of c, and subtracting
+// the window mean from the energy removes c from the denominator too.
+// Correlation and prefix-sum scratch come from ar.
+func offsetImmunePeak(x []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int, float64) {
+	ref := kern.Ref()
 	m := len(ref)
 	if m == 0 || len(x) < m {
 		return -1, 0
@@ -455,12 +439,7 @@ func offsetImmunePeakKern(x, ref []complex128, kern *dsp.CorrKernel, ar *dsp.Are
 	if refE == 0 {
 		return -1, 0
 	}
-	var corr []complex128
-	if kern != nil {
-		corr = kern.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ar)
-	} else {
-		corr = dsp.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ref, ar)
-	}
+	corr := kern.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ar)
 	// Sliding window sum and energy via prefix sums.
 	prefSum := ar.Complex(len(x) + 1)
 	prefSum[0] = 0

@@ -208,7 +208,7 @@ func TestUplinkThroughADC(t *testing.T) {
 	payload := []byte("adc path payload")
 	wave, _, dem := buildUplinkWaveform(t, vanatta.OOK(), payload, 8, 0.02,
 		complex(0.005, 0), complex(0.7, 0.1), 1e-9, rng, frame.Options{})
-	quant := a.Quantize(wave, 1.0)
+	quant := a.QuantizeTo(nil, wave, 1.0)
 	res := dem.Demodulate(quant, 8)
 	if !res.OK() {
 		t.Fatalf("ADC-path uplink failed: %v", res.Err)
@@ -219,7 +219,7 @@ func TestUplinkThroughADC(t *testing.T) {
 
 	// With a 4-bit converter the same echo drowns in quantization noise.
 	coarse, _ := New(Config{ADCBits: 4})
-	res4 := coarse.Quantize(wave, 1.0)
+	res4 := coarse.QuantizeTo(nil, wave, 1.0)
 	out := dem.Demodulate(res4, 8)
 	if out.OK() {
 		t.Fatal("4-bit ADC should not recover a -43 dBFS echo")

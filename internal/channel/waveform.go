@@ -140,16 +140,9 @@ func RicianTaps(rng *rand.Rand, kFactor float64, nTaps, maxDelay int) ([]Tap, er
 	return taps, nil
 }
 
-// ApplyTaps convolves x with a sparse tap set, returning a new slice of
-// the same length. Allocates the output; ApplyTapsTo is the
-// allocation-free variant.
-func ApplyTaps(x []complex128, taps []Tap) []complex128 {
-	return ApplyTapsTo(nil, x, taps)
-}
-
-// ApplyTapsTo is ApplyTaps writing into dst (grown only when its
-// capacity is short). dst must not overlap x. Values are bit-identical
-// to ApplyTaps.
+// ApplyTapsTo convolves x with a sparse tap set, writing len(x) samples
+// into dst (grown only when its capacity is short). dst must not
+// overlap x.
 func ApplyTapsTo(dst, x []complex128, taps []Tap) []complex128 {
 	out := dsp.GrowComplex(dst, len(x))
 	clear(out)

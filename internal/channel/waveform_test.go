@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/cmplx"
 	"math/rand"
+	"runtime/debug"
 	"testing"
 	"testing/quick"
 
@@ -178,19 +179,38 @@ func TestRicianTapsErrors(t *testing.T) {
 
 func TestApplyTapsIdentityAndEcho(t *testing.T) {
 	x := []complex128{1, 2, 3, 4}
-	y := ApplyTaps(x, []Tap{{0, 1}})
+	y := ApplyTapsTo(nil, x, []Tap{{0, 1}})
 	for i := range x {
 		if y[i] != x[i] {
 			t.Fatal("unit tap must be identity")
 		}
 	}
 	// A half-amplitude echo at delay 2.
-	y = ApplyTaps(x, []Tap{{0, 1}, {2, 0.5}})
+	y = ApplyTapsTo(nil, x, []Tap{{0, 1}, {2, 0.5}})
 	want := []complex128{1, 2, 3.5, 5}
 	for i := range want {
 		if cmplx.Abs(y[i]-want[i]) > 1e-15 {
 			t.Fatalf("echo output %v, want %v", y, want)
 		}
+	}
+}
+
+func TestApplyTapsToZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	x := make([]complex128, 512)
+	for i := range x {
+		x[i] = complex(float64(i%7), -float64(i%3))
+	}
+	taps := []Tap{{0, 1}, {3, 0.5i}, {11, -0.25}}
+	out := make([]complex128, len(x))
+	ApplyTapsTo(out, x, taps)
+	if allocs := testing.AllocsPerRun(20, func() {
+		ApplyTapsTo(out, x, taps)
+	}); allocs != 0 {
+		t.Errorf("ApplyTapsTo allocates %.1f/op, want 0", allocs)
 	}
 }
 

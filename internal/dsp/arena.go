@@ -197,6 +197,3 @@ func GrowComplex(dst []complex128, n int) []complex128 {
 	}
 	return make([]complex128, n)
 }
-
-// growComplex is the package-internal spelling of GrowComplex.
-func growComplex(dst []complex128, n int) []complex128 { return GrowComplex(dst, n) }

@@ -1,7 +1,5 @@
 package dsp
 
-import "math/cmplx"
-
 // Batch is a structure-of-arrays block of per-tag IQ lanes: every lane
 // is a contiguous []complex128 run inside one backing allocation, all
 // lanes share a stride (the per-lane capacity), and each lane carries
@@ -282,18 +280,9 @@ func (kn *CorrKernel) CrossCorrelateBatch(out, x *Batch, ar *Arena) {
 			out.SetLaneLen(l, 0)
 			continue
 		}
-		lags := n - m + 1
-		out.SetLaneLen(l, lags)
+		out.SetLaneLen(l, n-m+1)
 		if n*m <= 1<<14 {
-			xs := x.Lane(l)
-			o := out.Lane(l)
-			for k := 0; k < lags; k++ {
-				var acc complex128
-				for i := 0; i < m; i++ {
-					acc += xs[k+i] * cmplx.Conj(kn.ref[i])
-				}
-				o[k] = acc
-			}
+			correlateDirect(out.Lane(l), x.Lane(l), kn.ref)
 			continue
 		}
 		deferred = append(deferred, l, NextPow2(n+m-1))

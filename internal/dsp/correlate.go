@@ -6,72 +6,27 @@ import (
 	"sync"
 )
 
-// CrossCorrelate returns the full linear cross-correlation of x with the
-// reference ref:
+// CrossCorrelateTo writes the full linear cross-correlation of x with
+// the reference ref into dst:
 //
 //	r[k] = sum_n x[n+k] * conj(ref[n]),  k = 0 .. len(x)-len(ref)
 //
-// (valid lags only: the reference fully overlaps x). It returns nil when
-// ref is longer than x or either is empty. Uses FFT fast correlation when
-// the work is large enough to pay for it.
-func CrossCorrelate(x, ref []complex128) []complex128 {
-	return CrossCorrelateTo(nil, x, ref, nil)
-}
-
-// CrossCorrelateTo is CrossCorrelate writing into dst (grown only when
-// its capacity is short) with FFT scratch borrowed from ar. A nil ar
-// falls back to fresh allocation; with an arena and a capacious dst the
-// call is allocation-free in steady state. Values are bit-identical to
-// CrossCorrelate.
-func CrossCorrelateTo(dst []complex128, x, ref []complex128, ar *Arena) []complex128 {
-	n, m := len(x), len(ref)
-	if m == 0 || n < m {
-		return nil
-	}
-	lags := n - m + 1
-	// Direct method for small problems.
-	if n*m <= 1<<14 {
-		out := growComplex(dst, lags)
-		for k := 0; k < lags; k++ {
-			var acc complex128
-			for i := 0; i < m; i++ {
-				acc += x[k+i] * cmplx.Conj(ref[i])
-			}
-			out[k] = acc
-		}
-		return out
-	}
-	// FFT method: correlation is convolution with the conjugate-reversed
-	// reference.
-	size := NextPow2(n + m - 1)
-	p := PlanFFT(size)
-	fx := ar.ComplexZeroed(size)
-	fr := ar.ComplexZeroed(size)
-	copy(fx, x)
-	for i := 0; i < m; i++ {
-		fr[i] = cmplx.Conj(ref[m-1-i])
-	}
-	p.radix2To(fx, fx, false)
-	p.radix2To(fr, fr, false)
-	for i := range fx {
-		fx[i] *= fr[i]
-	}
-	p.radix2To(fx, fx, true)
-	scale := complex(1/float64(size), 0)
-	out := growComplex(dst, lags)
-	for k := 0; k < lags; k++ {
-		out[k] = fx[k+m-1] * scale
-	}
-	ar.PutComplex(fr)
-	ar.PutComplex(fx)
-	return out
+// (valid lags only: the reference fully overlaps x). dst grows only
+// when its capacity is short and must not overlap x. It returns nil when
+// ref is longer than x or either is empty. Work large enough to pay for
+// it runs as FFT fast correlation with scratch (the reference spectrum
+// included) borrowed from ar; a nil ar allocates the scratch fresh, and
+// with an arena and a capacious dst a call is allocation-free in steady
+// state.
+func CrossCorrelateTo(dst, x, ref []complex128, ar *Arena) []complex128 {
+	return correlate(dst, x, ref, nil, ar)
 }
 
 // CorrKernel caches the forward-transformed, conjugate-reversed spectrum
 // of a fixed reference sequence, so repeated correlations against the
 // same reference (a receiver's preamble search) pay one forward and one
 // inverse FFT per call instead of two forward and one inverse. Safe for
-// concurrent use; results are bit-identical to CrossCorrelate.
+// concurrent use; results are bit-identical to CrossCorrelateTo.
 type CorrKernel struct {
 	ref []complex128
 
@@ -94,25 +49,32 @@ func (kn *CorrKernel) Ref() []complex128 { return kn.ref }
 // into dst with FFT scratch from ar, exactly as the package-level
 // CrossCorrelateTo would with the same reference.
 func (kn *CorrKernel) CrossCorrelateTo(dst, x []complex128, ar *Arena) []complex128 {
-	n, m := len(x), len(kn.ref)
+	return correlate(dst, x, kn.ref, kn, ar)
+}
+
+// correlate is the body of both CrossCorrelateTo entry points. The FFT
+// path takes the reference spectrum from kn's cache, or, with a nil kn,
+// builds it in arena scratch for this call alone.
+func correlate(dst, x, ref []complex128, kn *CorrKernel, ar *Arena) []complex128 {
+	n, m := len(x), len(ref)
 	if m == 0 || n < m {
 		return nil
 	}
-	lags := n - m + 1
+	out := GrowComplex(dst, n-m+1)
 	if n*m <= 1<<14 {
-		out := growComplex(dst, lags)
-		for k := 0; k < lags; k++ {
-			var acc complex128
-			for i := 0; i < m; i++ {
-				acc += x[k+i] * cmplx.Conj(kn.ref[i])
-			}
-			out[k] = acc
-		}
+		correlateDirect(out, x, ref)
 		return out
 	}
+	// FFT method: correlation is convolution with the conjugate-reversed
+	// reference.
 	size := NextPow2(n + m - 1)
 	p := PlanFFT(size)
-	spec := kn.spectrum(size, p)
+	var spec []complex128
+	if kn != nil {
+		spec = kn.spectrum(size, p)
+	} else {
+		spec = refSpectrum(ar.ComplexZeroed(size), ref, p)
+	}
 	fx := ar.ComplexZeroed(size)
 	copy(fx, x)
 	p.radix2To(fx, fx, false)
@@ -121,12 +83,39 @@ func (kn *CorrKernel) CrossCorrelateTo(dst, x []complex128, ar *Arena) []complex
 	}
 	p.radix2To(fx, fx, true)
 	scale := complex(1/float64(size), 0)
-	out := growComplex(dst, lags)
-	for k := 0; k < lags; k++ {
+	for k := range out {
 		out[k] = fx[k+m-1] * scale
 	}
 	ar.PutComplex(fx)
+	if kn == nil {
+		ar.PutComplex(spec)
+	}
 	return out
+}
+
+// correlateDirect is the direct-form correlation for problems under the
+// FFT threshold: out[k] = sum_i x[k+i] * conj(ref[i]) for every k in
+// out, summed in ascending i.
+func correlateDirect(out, x, ref []complex128) {
+	for k := range out {
+		var acc complex128
+		for i, r := range ref {
+			acc += x[k+i] * cmplx.Conj(r)
+		}
+		out[k] = acc
+	}
+}
+
+// refSpectrum fills the zeroed buffer fr with the forward transform of
+// the conjugate-reversed reference and returns it; len(fr) is the plan
+// size.
+func refSpectrum(fr, ref []complex128, p *Plan) []complex128 {
+	m := len(ref)
+	for i := 0; i < m; i++ {
+		fr[i] = cmplx.Conj(ref[m-1-i])
+	}
+	p.radix2To(fr, fr, false)
+	return fr
 }
 
 // spectrum returns the reference spectrum at the given FFT size,
@@ -139,12 +128,7 @@ func (kn *CorrKernel) spectrum(size int, p *Plan) []complex128 {
 	if s, ok := kn.spec[size]; ok {
 		return s
 	}
-	m := len(kn.ref)
-	fr := make([]complex128, size)
-	for i := 0; i < m; i++ {
-		fr[i] = cmplx.Conj(kn.ref[m-1-i])
-	}
-	p.radix2To(fr, fr, false)
+	fr := refSpectrum(make([]complex128, size), kn.ref, p)
 	kn.spec[size] = fr
 	return fr
 }
@@ -162,17 +146,12 @@ func PeakIndex(x []complex128) (int, float64) {
 	return best, bestMag
 }
 
-// NormalizedPeak returns the correlation peak magnitude normalized by the
-// energies of the two sequences (1.0 = perfect match). Used as a preamble
-// detection statistic.
-func NormalizedPeak(x, ref []complex128) (lag int, score float64) {
-	return NormalizedPeakWith(x, ref, nil)
-}
-
-// NormalizedPeakWith is NormalizedPeak with correlation scratch
-// borrowed from ar (nil ar allocates fresh). Scores are bit-identical
-// to NormalizedPeak.
-func NormalizedPeakWith(x, ref []complex128, ar *Arena) (lag int, score float64) {
+// NormalizedPeak returns the lag and magnitude of the correlation peak
+// of x against ref, normalized by the energies of the two sequences
+// (1.0 = perfect match): the preamble detection statistic. Correlation
+// scratch comes from ar (nil ar allocates it fresh). It returns (-1, 0)
+// when ref is empty, longer than x or has zero energy.
+func NormalizedPeak(x, ref []complex128, ar *Arena) (lag int, score float64) {
 	if len(ref) == 0 || len(x) < len(ref) {
 		return -1, 0
 	}

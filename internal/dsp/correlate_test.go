@@ -28,7 +28,7 @@ func TestCrossCorrelateMatchesNaiveSmall(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
 	x := randSignal(rng, 60)
 	ref := randSignal(rng, 13)
-	got := CrossCorrelate(x, ref)
+	got := CrossCorrelateTo(nil, x, ref, nil)
 	want := naiveCorrelate(x, ref)
 	if e := maxErr(got, want); e > 1e-9 {
 		t.Fatalf("small correlate error %g", e)
@@ -40,7 +40,7 @@ func TestCrossCorrelateMatchesNaiveLarge(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	x := randSignal(rng, 600)
 	ref := randSignal(rng, 100)
-	got := CrossCorrelate(x, ref)
+	got := CrossCorrelateTo(nil, x, ref, nil)
 	want := naiveCorrelate(x, ref)
 	if e := maxErr(got, want); e > 1e-6 {
 		t.Fatalf("large correlate error %g", e)
@@ -48,15 +48,15 @@ func TestCrossCorrelateMatchesNaiveLarge(t *testing.T) {
 }
 
 func TestCrossCorrelateEdgeCases(t *testing.T) {
-	if CrossCorrelate(nil, nil) != nil {
+	if CrossCorrelateTo(nil, nil, nil, nil) != nil {
 		t.Fatal("empty inputs must return nil")
 	}
-	if CrossCorrelate([]complex128{1}, []complex128{1, 2}) != nil {
+	if CrossCorrelateTo(nil, []complex128{1}, []complex128{1, 2}, nil) != nil {
 		t.Fatal("ref longer than x must return nil")
 	}
 	// x == ref: single lag equal to the energy.
 	x := []complex128{1 + 1i, 2, -3i}
-	r := CrossCorrelate(x, x)
+	r := CrossCorrelateTo(nil, x, x, nil)
 	if len(r) != 1 {
 		t.Fatalf("lags = %d, want 1", len(r))
 	}
@@ -86,7 +86,7 @@ func TestNormalizedPeakFindsEmbeddedPreamble(t *testing.T) {
 	for i, v := range pre {
 		x[100+i] += v
 	}
-	lag, score := NormalizedPeak(x, pre)
+	lag, score := NormalizedPeak(x, pre, nil)
 	if lag != 100 {
 		t.Fatalf("preamble found at %d, want 100", lag)
 	}
@@ -99,12 +99,12 @@ func TestNormalizedPeakScoreBounds(t *testing.T) {
 	// Perfect match scores 1.
 	rng := rand.New(rand.NewSource(13))
 	x := randSignal(rng, 64)
-	lag, score := NormalizedPeak(x, x)
+	lag, score := NormalizedPeak(x, x, nil)
 	if lag != 0 || math.Abs(score-1) > 1e-9 {
 		t.Fatalf("self peak (%d, %g)", lag, score)
 	}
 	// Degenerate reference.
-	if lag, score := NormalizedPeak(x, make([]complex128, 8)); lag != -1 || score != 0 {
+	if lag, score := NormalizedPeak(x, make([]complex128, 8), nil); lag != -1 || score != 0 {
 		t.Fatal("zero-energy ref must return (-1, 0)")
 	}
 }
@@ -112,7 +112,7 @@ func TestNormalizedPeakScoreBounds(t *testing.T) {
 func TestGoertzelMatchesFFTBin(t *testing.T) {
 	rng := rand.New(rand.NewSource(14))
 	x := randSignal(rng, 128)
-	spec := FFT(x)
+	spec := FFTTo(nil, x)
 	for _, k := range []int{0, 1, 17, 64, 127} {
 		g := Goertzel(x, float64(k)/128)
 		if cmplx.Abs(g-spec[k]) > 1e-8 {
@@ -145,7 +145,7 @@ func BenchmarkCrossCorrelateFFT(b *testing.B) {
 	ref := randSignal(rng, 128)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		CrossCorrelate(x, ref)
+		CrossCorrelateTo(nil, x, ref, nil)
 	}
 }
 

@@ -5,8 +5,11 @@
 // estimation.
 //
 // Signals are []complex128 sample slices at an implicit sample rate that
-// callers carry alongside. All transforms are deterministic and
-// allocation patterns are documented on each function.
+// callers carry alongside. All transforms are deterministic. Each
+// kernel has a single entry point, XTo(dst, ...), that writes into dst
+// and grows it only when its capacity is short: pass nil for a fresh
+// output slice. Kernels that need scratch borrow it from an *Arena
+// argument, and a nil arena allocates the scratch fresh.
 //
 // DESIGN.md: section 3 (module inventory); the waveform level of section 6
 // runs on these kernels.
@@ -16,37 +19,31 @@ import (
 	"math/bits"
 )
 
-// FFT returns the discrete Fourier transform of x. The input is not
-// modified. Power-of-two lengths use an iterative radix-2
-// decimation-in-time transform; other lengths use Bluestein's algorithm.
-// Both run through the cached per-size Plan (see PlanFFT), so repeated
-// transforms of a size pay no twiddle recomputation. FFT of an empty
-// slice returns an empty slice. Allocates the output; FFTTo is the
-// allocation-free variant.
-func FFT(x []complex128) []complex128 {
+// FFTTo writes the discrete Fourier transform of x into dst and returns
+// dst, growing it only when its capacity is short (a nil dst yields a
+// fresh slice). The input is not modified unless dst is x itself, which
+// runs the transform fully in place; dst must not otherwise overlap x.
+// Power-of-two lengths use an iterative radix-2 decimation-in-time
+// transform; other lengths use Bluestein's algorithm. Both run through
+// the cached per-size Plan (see PlanFFT), so repeated transforms of a
+// size pay no twiddle recomputation, and a call with a capacious dst
+// allocates nothing once the size's plan exists. An empty x yields
+// dst[:0].
+func FFTTo(dst, x []complex128) []complex128 {
 	if len(x) == 0 {
-		return nil
+		return dst[:0]
 	}
-	return FFTTo(nil, x)
+	return PlanFFT(len(x)).FFTTo(dst, x)
 }
 
-// IFFT returns the inverse discrete Fourier transform of x, scaled by 1/N
-// so that IFFT(FFT(x)) == x. Allocates the output; IFFTTo is the
-// allocation-free variant.
-func IFFT(x []complex128) []complex128 {
+// IFFTTo writes the inverse discrete Fourier transform of x into dst,
+// scaled by 1/N so that IFFTTo following FFTTo round-trips, under the
+// same dst and aliasing contract as FFTTo.
+func IFFTTo(dst, x []complex128) []complex128 {
 	if len(x) == 0 {
-		return nil
+		return dst[:0]
 	}
-	return IFFTTo(nil, x)
-}
-
-// fftInPlace computes an unscaled forward (inverse=false) or inverse
-// (inverse=true, still unscaled) DFT of x in place.
-func fftInPlace(x []complex128, inverse bool) {
-	if len(x) <= 1 {
-		return
-	}
-	PlanFFT(len(x)).transformTo(x, x, inverse)
+	return PlanFFT(len(x)).IFFTTo(dst, x)
 }
 
 // FFTReal transforms a real-valued signal, returning the full complex
@@ -56,8 +53,7 @@ func FFTReal(x []float64) []complex128 {
 	for i, v := range x {
 		c[i] = complex(v, 0)
 	}
-	fftInPlace(c, false)
-	return c
+	return FFTTo(c, c)
 }
 
 // FFTShift rotates a spectrum so the zero-frequency bin is centred,

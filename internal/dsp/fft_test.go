@@ -46,7 +46,7 @@ func TestFFTMatchesNaiveDFT(t *testing.T) {
 	// Power-of-two and awkward (prime, composite) lengths.
 	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 12, 16, 17, 31, 64, 100, 127, 128, 240} {
 		x := randSignal(rng, n)
-		got := FFT(x)
+		got := FFTTo(nil, x)
 		want := naiveDFT(x)
 		if e := maxErr(got, want); e > 1e-8*float64(n) {
 			t.Fatalf("n=%d: max error %g", n, e)
@@ -58,7 +58,7 @@ func TestFFTRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	for _, n := range []int{1, 2, 8, 13, 64, 100, 257, 1024} {
 		x := randSignal(rng, n)
-		back := IFFT(FFT(x))
+		back := IFFTTo(nil, FFTTo(nil, x))
 		if e := maxErr(back, x); e > 1e-9*float64(n) {
 			t.Fatalf("n=%d: round-trip error %g", n, e)
 		}
@@ -71,7 +71,7 @@ func TestFFTRoundTripProperty(t *testing.T) {
 		n := int(nRaw)%200 + 1
 		r := rand.New(rand.NewSource(seed))
 		x := randSignal(r, n)
-		back := IFFT(FFT(x))
+		back := IFFTTo(nil, FFTTo(nil, x))
 		return maxErr(back, x) < 1e-8*float64(n)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30, Rand: rng}); err != nil {
@@ -83,7 +83,7 @@ func TestFFTParseval(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	for _, n := range []int{16, 33, 128, 250} {
 		x := randSignal(rng, n)
-		spec := FFT(x)
+		spec := FFTTo(nil, x)
 		tEnergy := Energy(x)
 		fEnergy := Energy(spec) / float64(n)
 		if math.Abs(tEnergy-fEnergy) > 1e-8*tEnergy {
@@ -102,8 +102,8 @@ func TestFFTLinearity(t *testing.T) {
 	for i := range sum {
 		sum[i] = a*x[i] + b*y[i]
 	}
-	lhs := FFT(sum)
-	fx, fy := FFT(x), FFT(y)
+	lhs := FFTTo(nil, sum)
+	fx, fy := FFTTo(nil, x), FFTTo(nil, y)
 	rhs := make([]complex128, n)
 	for i := range rhs {
 		rhs[i] = a*fx[i] + b*fy[i]
@@ -117,7 +117,7 @@ func TestFFTImpulse(t *testing.T) {
 	// FFT of a unit impulse is all ones.
 	x := make([]complex128, 32)
 	x[0] = 1
-	for i, v := range FFT(x) {
+	for i, v := range FFTTo(nil, x) {
 		if cmplx.Abs(v-1) > 1e-12 {
 			t.Fatalf("bin %d = %v, want 1", i, v)
 		}
@@ -129,7 +129,7 @@ func TestFFTToneBin(t *testing.T) {
 	n := 128
 	k := 5
 	x := Tone(float64(k)/float64(n), 1, n, 0)
-	spec := FFT(x)
+	spec := FFTTo(nil, x)
 	for i, v := range spec {
 		mag := cmplx.Abs(v)
 		if i == k {
@@ -143,10 +143,10 @@ func TestFFTToneBin(t *testing.T) {
 }
 
 func TestFFTEmptyAndSingle(t *testing.T) {
-	if got := FFT(nil); got != nil {
-		t.Fatal("FFT(nil) should be nil")
+	if got := FFTTo(nil, nil); got != nil {
+		t.Fatal("FFTTo(nil, nil) should be nil")
 	}
-	got := FFT([]complex128{3 + 4i})
+	got := FFTTo(nil, []complex128{3 + 4i})
 	if len(got) != 1 || cmplx.Abs(got[0]-(3+4i)) > 1e-15 {
 		t.Fatalf("FFT single = %v", got)
 	}
@@ -205,7 +205,7 @@ func TestFFTRealMatchesComplex(t *testing.T) {
 		x[i] = rng.NormFloat64()
 		c[i] = complex(x[i], 0)
 	}
-	if e := maxErr(FFTReal(x), FFT(c)); e > 1e-10 {
+	if e := maxErr(FFTReal(x), FFTTo(nil, c)); e > 1e-10 {
 		t.Fatalf("FFTReal mismatch %g", e)
 	}
 }
@@ -229,7 +229,7 @@ func BenchmarkFFT1024(b *testing.B) {
 	x := randSignal(rand.New(rand.NewSource(1)), 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		FFTTo(nil, x)
 	}
 }
 
@@ -237,7 +237,7 @@ func BenchmarkFFT4096(b *testing.B) {
 	x := randSignal(rand.New(rand.NewSource(1)), 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		FFTTo(nil, x)
 	}
 }
 
@@ -245,6 +245,6 @@ func BenchmarkFFTBluestein1000(b *testing.B) {
 	x := randSignal(rand.New(rand.NewSource(1)), 1000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		FFT(x)
+		FFTTo(nil, x)
 	}
 }

@@ -20,8 +20,8 @@ type FIR struct {
 	// state holds the last len(taps)-1 input samples for streaming use.
 	state []complex128
 
-	// Cached frequency-domain taps for the overlap-save Filter path,
-	// keyed by FFT size. Guarded by specMu so concurrent Filter calls
+	// Cached frequency-domain taps for the overlap-save FilterTo path,
+	// keyed by FFT size. Guarded by specMu so concurrent FilterTo calls
 	// on a shared filter stay race-free; a published spec slice is
 	// never mutated, only replaced.
 	specMu   sync.Mutex
@@ -74,26 +74,19 @@ func (f *FIR) Reset() {
 	}
 }
 
-// firFFTMinTaps is the tap count above which Filter switches from
+// firFFTMinTaps is the tap count above which FilterTo switches from
 // direct form (O(n·k)) to overlap-save FFT convolution (O(n·log k)).
 // Below it the FFT constant factors lose to the direct inner loop.
 const firFFTMinTaps = 64
 
-// Filter convolves x with the taps, returning len(x) output samples
-// (the "same" convolution mode, zero initial state). Streaming state is
-// not used or modified. Allocates the output; FilterTo is the
-// allocation-free variant.
-func (f *FIR) Filter(x []complex128) []complex128 {
-	return f.FilterTo(nil, x)
-}
-
-// FilterTo is Filter writing into dst, growing it only when cap(dst) <
-// len(x), and returns the output slice. dst must not overlap x. Long
-// filters (>= firFFTMinTaps taps on inputs at least that long) run as
-// overlap-save FFT convolution — same result to ~1e-15 relative, not
-// bit-identical to direct form.
+// FilterTo convolves x with the taps into dst, returning len(x) output
+// samples (the "same" convolution mode, zero initial state); dst grows
+// only when cap(dst) < len(x) and must not overlap x. Streaming state is
+// not used or modified. Long filters (>= firFFTMinTaps taps on inputs
+// at least that long) run as overlap-save FFT convolution — same result
+// to ~1e-15 relative, not bit-identical to direct form.
 func (f *FIR) FilterTo(dst, x []complex128) []complex128 {
-	out := growComplex(dst, len(x))
+	out := GrowComplex(dst, len(x))
 	if len(f.taps) >= firFFTMinTaps && len(x) >= firFFTMinTaps {
 		f.filterFFT(out, x)
 	} else {
@@ -183,7 +176,7 @@ func (f *FIR) tapSpectrum(m int, p *Plan) []complex128 {
 }
 
 // Process filters a streaming block, carrying state across calls so that
-// concatenated blocks produce the same output as one long Filter call.
+// concatenated blocks produce the same output as one long FilterTo call.
 func (f *FIR) Process(x []complex128) []complex128 {
 	out := make([]complex128, len(x))
 	ns := len(f.state)

@@ -85,7 +85,7 @@ func TestFIRFilterImpulse(t *testing.T) {
 	f := NewFIR([]float64{0.25, 0.5, 0.25})
 	x := make([]complex128, 5)
 	x[0] = 1
-	y := f.Filter(x)
+	y := f.FilterTo(nil, x)
 	want := []float64{0.25, 0.5, 0.25, 0, 0}
 	for i := range want {
 		if math.Abs(real(y[i])-want[i]) > 1e-15 {
@@ -99,7 +99,7 @@ func TestFIRStreamingMatchesBatch(t *testing.T) {
 	f1 := MovingAverage(7)
 	f2 := MovingAverage(7)
 	x := randSignal(rng, 200)
-	batch := f1.Filter(x)
+	batch := f1.FilterTo(nil, x)
 	var stream []complex128
 	// Uneven block sizes, including blocks shorter than the tap count.
 	for _, blk := range [][2]int{{0, 3}, {3, 10}, {10, 64}, {64, 65}, {65, 200}} {
@@ -127,7 +127,7 @@ func TestMovingAverageDCGain(t *testing.T) {
 	for i := range x {
 		x[i] = 2
 	}
-	y := f.Filter(x)
+	y := f.FilterTo(nil, x)
 	// After the transient, output equals input mean.
 	for i := 10; i < 50; i++ {
 		if math.Abs(real(y[i])-2) > 1e-12 {
@@ -216,6 +216,6 @@ func BenchmarkFIRFilter101Taps(b *testing.B) {
 	x := randSignal(rand.New(rand.NewSource(1)), 4096)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		lp.Filter(x)
+		lp.FilterTo(nil, x)
 	}
 }

@@ -1,6 +1,7 @@
 package dsp
 
 import (
+	"fmt"
 	"math/cmplx"
 	"math/rand"
 	"runtime/debug"
@@ -9,17 +10,24 @@ import (
 
 // --- FIR: *To equivalence, overlap-save vs direct ---
 
+// TestFilterToMatchesFilter checks that a reused dirty dst reproduces
+// the fresh-output FilterTo(nil, x) bit for bit on both the direct-form
+// and the overlap-save path.
 func TestFilterToMatchesFilter(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	f := MovingAverage(9)
 	x := randSignal(rng, 300)
-	want := f.Filter(x)
-	dst := make([]complex128, len(x))
-	got := f.FilterTo(dst, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: FilterTo %v != Filter %v", i, got[i], want[i])
+	h := make([]float64, 65)
+	for i := range h {
+		h[i] = rng.NormFloat64()
+	}
+	for _, f := range []*FIR{MovingAverage(9), NewFIR(h)} {
+		want := f.FilterTo(nil, x)
+		dst := dirty(len(x))
+		got := f.FilterTo(dst, x)
+		if &got[0] != &dst[0] {
+			t.Fatalf("%d taps: FilterTo did not write into a capacious dst", f.Len())
 		}
+		sameBits(t, fmt.Sprintf("%d taps reused dst", f.Len()), got, want)
 	}
 }
 
@@ -58,27 +66,27 @@ func TestFilterFFTMatchesDirect(t *testing.T) {
 }
 
 func TestFilterDispatchCrossover(t *testing.T) {
-	// Below the crossover (short taps or short input) Filter must remain
+	// Below the crossover (short taps or short input) FilterTo must remain
 	// bit-identical to the direct form — the golden tables depend on it.
 	rng := rand.New(rand.NewSource(23))
 	shortFIR := MovingAverage(63)
 	x := randSignal(rng, 4096)
 	direct := make([]complex128, len(x))
 	shortFIR.filterDirect(direct, x)
-	got := shortFIR.Filter(x)
+	got := shortFIR.FilterTo(nil, x)
 	for i := range direct {
 		if got[i] != direct[i] {
-			t.Fatalf("63-tap Filter not bit-identical to direct form at %d", i)
+			t.Fatalf("63-tap FilterTo not bit-identical to direct form at %d", i)
 		}
 	}
 	longFIR := MovingAverage(64)
 	shortX := randSignal(rng, 63)
 	direct = make([]complex128, len(shortX))
 	longFIR.filterDirect(direct, shortX)
-	got = longFIR.Filter(shortX)
+	got = longFIR.FilterTo(nil, shortX)
 	for i := range direct {
 		if got[i] != direct[i] {
-			t.Fatalf("short-input Filter not bit-identical to direct form at %d", i)
+			t.Fatalf("short-input FilterTo not bit-identical to direct form at %d", i)
 		}
 	}
 }
@@ -110,7 +118,7 @@ func TestResampleEmptyInput(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if out := r.Resample(nil); len(out) != 0 {
+		if out := r.ResampleTo(nil, nil); len(out) != 0 {
 			t.Fatalf("L/M=%d/%d: empty input produced %d samples", lm[0], lm[1], len(out))
 		}
 		if out := r.ResampleTo(make([]complex128, 8), nil); len(out) != 0 {
@@ -122,7 +130,7 @@ func TestResampleEmptyInput(t *testing.T) {
 func TestResampleRateOneCopies(t *testing.T) {
 	r, _ := NewResampler(7, 7) // reduces to 1/1
 	x := randSignal(rand.New(rand.NewSource(24)), 50)
-	out := r.Resample(x)
+	out := r.ResampleTo(nil, x)
 	for i := range x {
 		if out[i] != x[i] {
 			t.Fatalf("identity resample changed sample %d", i)
@@ -152,27 +160,35 @@ func TestResampleNonIntegerRounding(t *testing.T) {
 			t.Fatalf("L/M=%d/%d OutputLen(%d) = %d, want %d", c.l, c.m, c.n, got, c.want)
 		}
 		x := randSignal(rand.New(rand.NewSource(25)), c.n)
-		if got := len(r.Resample(x)); got != c.want {
-			t.Fatalf("L/M=%d/%d len(Resample(%d)) = %d, want %d", c.l, c.m, c.n, got, c.want)
+		if got := len(r.ResampleTo(nil, x)); got != c.want {
+			t.Fatalf("L/M=%d/%d len(ResampleTo(nil, x[:%d])) = %d, want %d", c.l, c.m, c.n, got, c.want)
 		}
 	}
 }
 
+// TestResampleToMatchesResample checks that a reused dirty dst
+// reproduces the fresh-output ResampleTo(nil, x) bit for bit, for a
+// rational ratio and for the identity copy.
 func TestResampleToMatchesResample(t *testing.T) {
-	r, _ := NewResampler(3, 2)
 	x := randSignal(rand.New(rand.NewSource(26)), 400)
-	want := r.Resample(x)
-	dst := make([]complex128, r.OutputLen(len(x)))
-	got := r.ResampleTo(dst, x)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sample %d: ResampleTo diverged", i)
+	for _, lm := range [][2]int{{3, 2}, {1, 1}} {
+		r, _ := NewResampler(lm[0], lm[1])
+		want := r.ResampleTo(nil, x)
+		dst := dirty(r.OutputLen(len(x)))
+		got := r.ResampleTo(dst, x)
+		if &got[0] != &dst[0] {
+			t.Fatalf("L/M=%d/%d: ResampleTo did not write into a capacious dst", lm[0], lm[1])
 		}
+		sameBits(t, fmt.Sprintf("L/M=%d/%d reused dst", lm[0], lm[1]), got, want)
 	}
 }
 
 // --- Correlation kernel ---
 
+// TestCorrKernelMatchesCrossCorrelate checks that the cached-kernel
+// path reproduces the package-level CrossCorrelateTo bit for bit, fresh
+// and through arena scratch with a reused dirty dst, on both the direct
+// and the FFT path.
 func TestCorrKernelMatchesCrossCorrelate(t *testing.T) {
 	rng := rand.New(rand.NewSource(27))
 	for _, c := range []struct{ n, m int }{
@@ -182,28 +198,23 @@ func TestCorrKernelMatchesCrossCorrelate(t *testing.T) {
 	} {
 		x := randSignal(rng, c.n)
 		ref := randSignal(rng, c.m)
-		want := CrossCorrelate(x, ref)
+		want := CrossCorrelateTo(nil, x, ref, nil)
 		kn := NewCorrKernel(ref)
-		got := kn.CrossCorrelateTo(nil, x, nil)
-		if len(got) != len(want) {
-			t.Fatalf("n=%d m=%d: length %d vs %d", c.n, c.m, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d m=%d lag %d: kernel %v != direct %v", c.n, c.m, i, got[i], want[i])
-			}
-		}
+		sameBits(t, fmt.Sprintf("n=%d m=%d kernel", c.n, c.m), kn.CrossCorrelateTo(nil, x, nil), want)
 		// Repeat with arena scratch and a reused dst: still bit-identical,
-		// and the cached spectrum serves the second call.
+		// and the cached spectrum serves the second kernel call.
 		ar := NewArena()
-		dst := make([]complex128, len(want))
+		dst := dirty(len(want))
 		for rep := 0; rep < 2; rep++ {
-			got = kn.CrossCorrelateTo(dst, x, ar)
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("n=%d m=%d rep %d: cached kernel diverged at lag %d", c.n, c.m, rep, i)
-				}
+			got := kn.CrossCorrelateTo(dst, x, ar)
+			if &got[0] != &dst[0] {
+				t.Fatalf("n=%d m=%d: kernel did not write into a capacious dst", c.n, c.m)
 			}
+			sameBits(t, fmt.Sprintf("n=%d m=%d rep %d cached kernel", c.n, c.m, rep), got, want)
+			copy(dst, dirty(len(dst)))
+			got = CrossCorrelateTo(dst, x, ref, ar)
+			sameBits(t, fmt.Sprintf("n=%d m=%d rep %d package-level, arena", c.n, c.m, rep), got, want)
+			copy(dst, dirty(len(dst)))
 		}
 	}
 }
@@ -279,6 +290,14 @@ func TestHotKernelsZeroAlloc(t *testing.T) {
 		CrossCorrelateTo(cOut2, x, ref, ar)
 	}); allocs != 0 {
 		t.Errorf("CrossCorrelateTo allocates %.1f/op, want 0", allocs)
+	}
+
+	// Normalized preamble peak with arena scratch.
+	NormalizedPeak(x, ref, ar)
+	if allocs := testing.AllocsPerRun(20, func() {
+		NormalizedPeak(x, ref, ar)
+	}); allocs != 0 {
+		t.Errorf("NormalizedPeak allocates %.1f/op, want 0", allocs)
 	}
 }
 

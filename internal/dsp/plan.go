@@ -17,8 +17,8 @@ import (
 //
 // The twiddle tables replicate the accumulate-and-resync recurrence of
 // the original direct transform term for term, so planned transforms
-// are bit-for-bit identical to what FFT/IFFT have always produced; they
-// just stop paying a cmplx.Exp per rotation per call.
+// are bit-for-bit identical to what that transform always produced;
+// they just stop paying a cmplx.Exp per rotation per call.
 type Plan struct {
 	n     int
 	swaps []int32        // flattened (i, j) swap pairs, i < j
@@ -144,7 +144,7 @@ func (p *Plan) FFTTo(dst, x []complex128) []complex128 {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: plan size %d, input length %d", p.n, len(x)))
 	}
-	dst = growComplex(dst, p.n)
+	dst = GrowComplex(dst, p.n)
 	p.transformTo(dst, x, false)
 	return dst
 }
@@ -156,7 +156,7 @@ func (p *Plan) IFFTTo(dst, x []complex128) []complex128 {
 	if len(x) != p.n {
 		panic(fmt.Sprintf("dsp: plan size %d, input length %d", p.n, len(x)))
 	}
-	dst = growComplex(dst, p.n)
+	dst = GrowComplex(dst, p.n)
 	p.transformTo(dst, x, true)
 	s := complex(1/float64(p.n), 0)
 	for i := range dst {
@@ -231,26 +231,4 @@ func (p *Plan) bluesteinTo(dst, x []complex128, inverse bool) {
 	}
 	ar.PutComplex(a)
 	PutArena(ar)
-}
-
-// FFTTo writes the DFT of x into dst and returns dst, growing dst only
-// when its capacity is short. It is the in-place counterpart of FFT:
-// same values bit for bit, no per-call twiddle recomputation, and zero
-// allocations once the size's plan exists and dst has capacity. An
-// empty x yields dst[:0].
-func FFTTo(dst, x []complex128) []complex128 {
-	if len(x) == 0 {
-		return dst[:0]
-	}
-	return PlanFFT(len(x)).FFTTo(dst, x)
-}
-
-// IFFTTo writes the inverse DFT of x (scaled by 1/N) into dst and
-// returns dst — the in-place counterpart of IFFT under the same
-// contract as FFTTo.
-func IFFTTo(dst, x []complex128) []complex128 {
-	if len(x) == 0 {
-		return dst[:0]
-	}
-	return PlanFFT(len(x)).IFFTTo(dst, x)
 }

@@ -1,46 +1,74 @@
 package dsp
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime/debug"
 	"sync"
 	"testing"
 )
 
+// dirty returns an n-sample buffer of NaNs: a kernel that reads or
+// accumulates into its dst instead of overwriting it cannot reproduce a
+// fresh-output result from it.
+func dirty(n int) []complex128 {
+	d := make([]complex128, n)
+	for i := range d {
+		d[i] = complex(math.NaN(), math.NaN())
+	}
+	return d
+}
+
+// sameBits fails the test unless got and want have equal length and
+// identical values.
+func sameBits(t *testing.T, what string, got, want []complex128) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("%s: sample %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestFFTToMatchesFFT checks that a reused dirty dst, a second pass
+// through it, and the plan's own FFTTo all reproduce the fresh-output
+// FFTTo(nil, x) bit for bit, in the dst's storage.
 func TestFFTToMatchesFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// Power-of-two (radix-2 path) and awkward (Bluestein path) sizes.
 	for _, n := range []int{1, 2, 3, 5, 8, 12, 17, 64, 100, 127, 128, 1000, 1024} {
 		x := randSignal(rng, n)
-		want := FFT(x)
-		dst := make([]complex128, n)
+		want := FFTTo(nil, x)
+		dst := dirty(n)
 		got := FFTTo(dst, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: FFTTo %v != FFT %v", n, i, got[i], want[i])
-			}
+		if &got[0] != &dst[0] {
+			t.Fatalf("n=%d: FFTTo did not write into a capacious dst", n)
 		}
+		sameBits(t, fmt.Sprintf("n=%d reused dst", n), got, want)
 		// Second pass through the same dst must reproduce the result.
-		got = FFTTo(dst, x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: reused-dst FFTTo diverged", n, i)
-			}
-		}
+		sameBits(t, fmt.Sprintf("n=%d second pass", n), FFTTo(dst, x), want)
+		sameBits(t, fmt.Sprintf("n=%d plan path", n), PlanFFT(n).FFTTo(dirty(n), x), want)
 	}
 }
 
+// TestIFFTToMatchesIFFT is TestFFTToMatchesFFT for the inverse
+// transform.
 func TestIFFTToMatchesIFFT(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	for _, n := range []int{2, 7, 16, 100, 256, 1000} {
 		x := randSignal(rng, n)
-		want := IFFT(x)
-		got := IFFTTo(make([]complex128, n), x)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d bin %d: IFFTTo %v != IFFT %v", n, i, got[i], want[i])
-			}
+		want := IFFTTo(nil, x)
+		dst := dirty(n)
+		got := IFFTTo(dst, x)
+		if &got[0] != &dst[0] {
+			t.Fatalf("n=%d: IFFTTo did not write into a capacious dst", n)
 		}
+		sameBits(t, fmt.Sprintf("n=%d reused dst", n), got, want)
+		sameBits(t, fmt.Sprintf("n=%d plan path", n), PlanFFT(n).IFFTTo(dirty(n), x), want)
 	}
 }
 
@@ -48,7 +76,7 @@ func TestFFTToInPlace(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, n := range []int{16, 100, 1024} {
 		x := randSignal(rng, n)
-		want := FFT(x)
+		want := FFTTo(nil, x)
 		buf := make([]complex128, n)
 		copy(buf, x)
 		got := FFTTo(buf, buf) // dst == x: fully in-place transform
@@ -116,7 +144,7 @@ func TestPlanConcurrent(t *testing.T) {
 	rng := rand.New(rand.NewSource(16))
 	for _, n := range []int{256, 1000} {
 		x := randSignal(rng, n)
-		want := FFT(x)
+		want := FFTTo(nil, x)
 		var wg sync.WaitGroup
 		errs := make(chan error, 8)
 		for g := 0; g < 8; g++ {

@@ -54,25 +54,19 @@ func (r *Resampler) Ratio() (int, int) { return r.l, r.m }
 // samples.
 func (r *Resampler) OutputLen(n int) int { return (n*r.l + r.m - 1) / r.m }
 
-// Resample converts x to the new rate. The output is time-aligned with
-// the input (the prototype group delay is compensated); edges are
-// zero-padded. Allocates the output; ResampleTo is the allocation-free
-// variant.
-func (r *Resampler) Resample(x []complex128) []complex128 {
-	return r.ResampleTo(nil, x)
-}
-
-// ResampleTo is Resample writing into dst, growing it only when
-// cap(dst) < OutputLen(len(x)), and returns the output slice. dst must
-// not overlap x. Values are bit-identical to Resample.
+// ResampleTo converts x to the new rate, writing OutputLen(len(x))
+// samples into dst (grown only when its capacity is short) and
+// returning the output slice. The output is time-aligned with the input
+// (the prototype group delay is compensated); edges are zero-padded.
+// dst must not overlap x.
 func (r *Resampler) ResampleTo(dst, x []complex128) []complex128 {
 	if r.l == 1 && r.m == 1 {
-		out := growComplex(dst, len(x))
+		out := GrowComplex(dst, len(x))
 		copy(out, x)
 		return out
 	}
 	nOut := r.OutputLen(len(x))
-	out := growComplex(dst, nOut)
+	out := GrowComplex(dst, nOut)
 	for k := 0; k < nOut; k++ {
 		// Output sample k sits at upsampled index k*M; the filter is
 		// centred there (delay-compensated).

@@ -25,7 +25,7 @@ func TestNewResamplerValidation(t *testing.T) {
 func TestResampleIdentity(t *testing.T) {
 	r, _ := NewResampler(3, 3)
 	x := Tone(0.05, 1, 100, 0.4)
-	y := r.Resample(x)
+	y := r.ResampleTo(nil, x)
 	if len(y) != len(x) {
 		t.Fatalf("identity length %d", len(y))
 	}
@@ -62,7 +62,7 @@ func resampleToneTest(t *testing.T, l, m int, fNorm float64) {
 	}
 	n := 3000
 	x := Tone(fNorm, 1, n, 0)
-	y := r.Resample(x)
+	y := r.ResampleTo(nil, x)
 	// Skip filter edges.
 	core := y[len(y)/4 : len(y)*3/4]
 	got := DominantFrequency(core, 1)
@@ -87,7 +87,7 @@ func TestResampleAntiAliasing(t *testing.T) {
 	// decimating, not aliased in.
 	r, _ := NewResampler(1, 4)
 	x := Tone(0.2, 1, 4000, 0) // output normalized freq would be 0.8 > 0.5
-	y := r.Resample(x)
+	y := r.ResampleTo(nil, x)
 	core := y[len(y)/4 : len(y)*3/4]
 	if p := Power(core); p > 0.01 {
 		t.Fatalf("aliased power %g, want strong suppression", p)
@@ -100,7 +100,7 @@ func TestResampleDCPreserved(t *testing.T) {
 	for i := range x {
 		x[i] = 2 + 1i
 	}
-	y := r.Resample(x)
+	y := r.ResampleTo(nil, x)
 	mid := y[len(y)/2]
 	if cmplx.Abs(mid-(2+1i)) > 0.02 {
 		t.Fatalf("DC through resampler: %v", mid)
@@ -112,6 +112,6 @@ func BenchmarkResample32(b *testing.B) {
 	x := Tone(0.05, 1, 4096, 0)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		r.Resample(x)
+		r.ResampleTo(nil, x)
 	}
 }

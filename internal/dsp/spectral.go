@@ -78,7 +78,7 @@ func DominantFrequency(x []complex128, sampleRate float64) float64 {
 	buf := make([]complex128, n)
 	copy(buf, x)
 	ApplyWindow(buf, Hann.Coefficients(n))
-	spec := FFT(buf)
+	spec := FFTTo(buf, buf)
 	mags := make([]float64, n)
 	best, bestMag := 0, -1.0
 	for i, v := range spec {
@@ -120,7 +120,7 @@ func SNREstimate(x []complex128, width int) float64 {
 	if n == 0 {
 		return 0
 	}
-	spec := FFT(x)
+	spec := FFTTo(nil, x)
 	p := make([]float64, n)
 	best, bestMag := 0, -1.0
 	for i, v := range spec {

@@ -51,7 +51,7 @@ func e16Multipath(x Exec, seed int64) (*Table, error) {
 			bits := phy.RandomBits(rng, 2*nData)
 			data := c.Modulate(nil, c.MapBits(nil, bits))
 			tx := append(append([]complex128{}, train...), data...)
-			rx := channel.ApplyTaps(tx, taps)
+			rx := channel.ApplyTapsTo(nil, tx, taps)
 			channel.AWGN(rng, rx, rfmath.FromDB(-25))
 
 			// (a) one-tap receiver: data-aided gain from the training.
@@ -59,7 +59,7 @@ func e16Multipath(x Exec, seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			oneTap := phy.ScaleRotate(rx[trainLen:], g)
+			oneTap := phy.ScaleRotateTo(nil, rx[trainLen:], g)
 			serOneSum += symbolErrors(c, oneTap, data)
 
 			// (b) sound + MMSE equalize.
@@ -73,7 +73,7 @@ func e16Multipath(x Exec, seed int64) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			eq := phy.Equalize(rx, w, delay)
+			eq := phy.EqualizeTo(nil, rx, w, delay)
 			serMMSESum += symbolErrors(c, eq[trainLen:], data)
 
 			spread, err := phy.RMSDelaySpread(h, 1)

@@ -93,7 +93,7 @@ func TagSymbolWorkload(id string) (int64, error) {
 }
 
 // BatchMicro is one measurement of the fused batch demodulator: lanes
-// concurrent tag waveforms swept through ap.Demodulator.DemodulateBatch.
+// concurrent tag waveforms swept through ap.Demodulator.DemodulateBatchTo.
 type BatchMicro struct {
 	Lanes      int    // waveforms per pass
 	TagSymbols int64  // tag·symbols demodulated per pass
@@ -102,7 +102,7 @@ type BatchMicro struct {
 	BytesPass  uint64 // steady-state bytes per pass
 }
 
-// RunBatchMicro measures DemodulateBatch over a batch of lanes OOK
+// RunBatchMicro measures DemodulateBatchTo over a batch of lanes OOK
 // frame waveforms at a comfortably decodable SNR: reps timed groups of
 // passes, keeping the minimum. Steady-state allocation figures come
 // from MemStats deltas across a group, so pool warm-up amortizes out;
@@ -144,7 +144,7 @@ func RunBatchMicro(lanes, reps int, seed int64) (*BatchMicro, error) {
 		rx.SetLaneLen(l, len(wave))
 	}
 
-	res := dem.DemodulateBatch(&rx, sps)
+	res := dem.DemodulateBatchTo(nil, &rx, sps)
 	for l, r := range res {
 		if !r.OK() {
 			return nil, fmt.Errorf("eval: batch micro lane %d failed to decode: %v", l, r.Err)

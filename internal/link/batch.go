@@ -15,7 +15,7 @@ import (
 // of frame trials (all randomness is drawn at stage time, in stage
 // order, so a stage-then-flush sequence consumes every RNG stream
 // exactly as the serial FrameSuccess loop would) and then flush the
-// accumulated waveforms through ap.Demodulator.DemodulateBatch — one
+// accumulated waveforms through ap.Demodulator.DemodulateBatchTo — one
 // plan walk and one preamble spectrum per FFT size for the whole
 // batch, instead of one per frame. Results are bit-identical to
 // calling FrameSuccess per trial.
@@ -121,7 +121,7 @@ func (w *Waveform) StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadByt
 
 // FlushFrames implements BatchEngine. Trials are grouped by
 // demodulator (modulation × coding) in first-stage order, and each
-// group sweeps DemodulateBatch once.
+// group sweeps DemodulateBatchTo once.
 func (w *Waveform) FlushFrames(b *FrameBatch, dst []bool) ([]bool, error) {
 	base := len(dst)
 	for _, tr := range b.trials {

@@ -106,17 +106,11 @@ func solveComplex(a [][]complex128, b []complex128) ([]complex128, error) {
 	return x, nil
 }
 
-// Equalize convolves rx with the equalizer taps and compensates the
-// design delay, returning a slice aligned with the pre-channel signal.
-// Allocates the output; EqualizeTo is the allocation-free variant.
-func Equalize(rx, w []complex128, delay int) []complex128 {
-	return EqualizeTo(nil, rx, w, delay)
-}
-
-// EqualizeTo is Equalize writing into dst (grown only when its capacity
-// is short). dst must not overlap rx. The inner loop clamps the tap
-// range up front instead of bounds-checking per tap; summation order is
-// unchanged, so results are bit-identical to Equalize.
+// EqualizeTo convolves rx with the equalizer taps and compensates the
+// design delay, writing into dst (grown only when its capacity is
+// short) a slice aligned with the pre-channel signal. dst must not
+// overlap rx. The inner loop clamps the tap range up front instead of
+// bounds-checking per tap, summing in ascending tap order.
 func EqualizeTo(dst, rx, w []complex128, delay int) []complex128 {
 	out := dsp.GrowComplex(dst, len(rx))
 	for n := range rx {

@@ -78,7 +78,7 @@ func TestEqualizerEndToEndISI(t *testing.T) {
 	// Severe two-tap ISI: interference magnitude 0.85 pushes symbols
 	// across the QPSK decision boundaries.
 	taps := []channel.Tap{{DelaySamples: 0, Gain: 1}, {DelaySamples: 1, Gain: complex(0.8, 0.3)}}
-	rx := channel.ApplyTaps(tx, taps)
+	rx := channel.ApplyTapsTo(nil, tx, taps)
 	channel.AWGN(rng, rx, 1e-4)
 
 	// Unequalized slicing fails badly.
@@ -100,7 +100,7 @@ func TestEqualizerEndToEndISI(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq := Equalize(rx, w, delay)
+	eq := EqualizeTo(nil, rx, w, delay)
 	eqErrs := 0
 	// Skip the filter edges.
 	for i := nTaps; i < len(tx)-nTaps; i++ {
@@ -123,7 +123,7 @@ func TestEqualizerFromEstimatedCIR(t *testing.T) {
 	bits := RandomBits(rng, 1000)
 	data := c.Modulate(nil, c.MapBits(nil, bits))
 	tx := append(append([]complex128{}, train...), data...)
-	rx := channel.ApplyTaps(tx, taps)
+	rx := channel.ApplyTapsTo(nil, tx, taps)
 	channel.AWGN(rng, rx, 1e-5)
 
 	hEst, err := EstimateCIR(rx, train, 6)
@@ -136,7 +136,7 @@ func TestEqualizerFromEstimatedCIR(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	eq := Equalize(rx, w, delay)
+	eq := EqualizeTo(nil, rx, w, delay)
 	errs := 0
 	for i := nTaps; i < len(data)-nTaps; i++ {
 		if c.Nearest(eq[len(train)+i]) != c.Nearest(data[i]) {

@@ -1,0 +1,50 @@
+package phy
+
+import (
+	"math/rand"
+	"runtime/debug"
+	"testing"
+
+	"mmtag/internal/dsp"
+)
+
+// TestKernelsZeroAlloc pins the zero-allocation contract of the
+// waveform-chain *To kernels: once warm, a call with a dst of enough
+// capacity (and, for ShapeTo, an arena) allocates nothing. Both shaper
+// geometries run, so the FIR's direct-form and overlap-save paths are
+// each covered.
+func TestKernelsZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	rng := rand.New(rand.NewSource(31))
+	syms := make([]complex128, 256)
+	for i := range syms {
+		syms[i] = complex(float64(rng.Intn(2)*2-1), float64(rng.Intn(2)*2-1))
+	}
+	ar := dsp.NewArena()
+	zeroAlloc := func(name string, f func()) {
+		t.Helper()
+		f() // warm plans, spectra and arena free lists
+		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
+			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
+		}
+	}
+	for _, geom := range []struct{ sps, span int }{{4, 6}, {8, 8}} {
+		s, err := NewShaper(0.35, geom.sps, geom.span)
+		if err != nil {
+			t.Fatal(err)
+		}
+		wave := s.ShapeTo(nil, syms, nil)
+		matched := make([]complex128, len(wave))
+		decisions := make([]complex128, len(syms))
+		zeroAlloc("ShapeTo", func() { s.ShapeTo(wave, syms, ar) })
+		zeroAlloc("MatchedFilterTo", func() { s.MatchedFilterTo(matched, wave) })
+		zeroAlloc("SampleTo", func() { s.SampleTo(decisions, matched, 2*s.Delay(), len(syms)) })
+	}
+	w := []complex128{0.1, 1, -0.2i, 0.05}
+	eq := make([]complex128, len(syms))
+	zeroAlloc("EqualizeTo", func() { EqualizeTo(eq, syms, w, 1) })
+	zeroAlloc("ScaleRotateTo", func() { ScaleRotateTo(eq, syms, 0.5-0.5i) })
+}

@@ -196,16 +196,10 @@ func NewOOK() *Constellation {
 	return c
 }
 
-// ScaleRotate returns a copy of rx corrected by the complex factor g
-// (rx[i] / g), the standard one-tap equalizer applied after channel
-// estimation. Allocates the output; ScaleRotateTo is the
-// allocation-free variant.
-func ScaleRotate(rx []complex128, g complex128) []complex128 {
-	return ScaleRotateTo(nil, rx, g)
-}
-
-// ScaleRotateTo is ScaleRotate writing into dst (grown only when its
-// capacity is short). dst may alias rx.
+// ScaleRotateTo writes rx corrected by the complex factor g (rx[i] / g)
+// into dst (grown only when its capacity is short): the standard
+// one-tap equalizer applied after channel estimation. A zero g copies
+// rx unchanged. dst may alias rx.
 func ScaleRotateTo(dst, rx []complex128, g complex128) []complex128 {
 	out := dsp.GrowComplex(dst, len(rx))
 	if g == 0 {

@@ -169,7 +169,7 @@ func TestEstimateGainAndScaleRotate(t *testing.T) {
 	if cmplx.Abs(est-g) > 1e-12 {
 		t.Fatalf("gain estimate %v, want %v", est, g)
 	}
-	eq := ScaleRotate(rx, est)
+	eq := ScaleRotateTo(nil, rx, est)
 	for i := range eq {
 		if cmplx.Abs(eq[i]-tx[i]) > 1e-9 {
 			t.Fatal("equalized symbols must match tx")
@@ -187,7 +187,7 @@ func TestEstimateGainErrors(t *testing.T) {
 	if _, err := EstimateGain([]complex128{1}, []complex128{0}); err == nil {
 		t.Fatal("zero-energy pilots must error")
 	}
-	if out := ScaleRotate([]complex128{2}, 0); out[0] != 2 {
+	if out := ScaleRotateTo(nil, []complex128{2}, 0); out[0] != 2 {
 		t.Fatal("zero gain must pass through")
 	}
 }

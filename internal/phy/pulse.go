@@ -79,17 +79,12 @@ func (s *Shaper) SamplesPerSymbol() int { return s.sps }
 // Delay returns the one-filter group delay in samples.
 func (s *Shaper) Delay() int { return (s.fir.Len() - 1) / 2 }
 
-// Shape converts symbol points into a pulse-shaped waveform of length
-// len(symbols)*sps + 2*Delay(). The tail is long enough that after the
-// receive MatchedFilter every symbol centre (first at 2*Delay()) exists.
-// Allocates the output; ShapeTo is the allocation-free variant.
-func (s *Shaper) Shape(symbols []complex128) []complex128 {
-	return s.ShapeTo(nil, symbols, nil)
-}
-
-// ShapeTo is Shape writing into dst (grown only when its capacity is
-// short) with upsampling scratch borrowed from ar; nil ar allocates the
-// scratch fresh. dst must not overlap symbols.
+// ShapeTo converts symbol points into a pulse-shaped waveform of length
+// len(symbols)*sps + 2*Delay(), written into dst (grown only when its
+// capacity is short) with upsampling scratch borrowed from ar; a nil ar
+// allocates the scratch fresh. The tail is long enough that after the
+// receive MatchedFilterTo every symbol centre (first at 2*Delay())
+// exists. dst must not overlap symbols.
 func (s *Shaper) ShapeTo(dst, symbols []complex128, ar *dsp.Arena) []complex128 {
 	n := len(symbols)*s.sps + 2*s.Delay()
 	up := ar.ComplexZeroed(n)
@@ -101,29 +96,22 @@ func (s *Shaper) ShapeTo(dst, symbols []complex128, ar *dsp.Arena) []complex128 
 	return out
 }
 
-// MatchedFilter applies the same RRC as a matched filter. Allocates the
-// output; MatchedFilterTo is the allocation-free variant.
-func (s *Shaper) MatchedFilter(x []complex128) []complex128 {
-	return s.fir.Filter(x)
-}
-
-// MatchedFilterTo is MatchedFilter writing into dst (grown only when
-// its capacity is short). dst must not overlap x.
+// MatchedFilterTo applies the same RRC as a matched filter, writing
+// into dst (grown only when its capacity is short). dst must not
+// overlap x.
 func (s *Shaper) MatchedFilterTo(dst, x []complex128) []complex128 {
 	return s.fir.FilterTo(dst, x)
 }
 
-// Sample extracts symbol decisions points from a matched-filtered
-// waveform, given the index of the first symbol centre (the cascade
-// group delay for a Shape->MatchedFilter chain is 2*Delay()).
-// Allocates the output; SampleTo is the allocation-free variant.
-func (s *Shaper) Sample(x []complex128, firstCentre, nSymbols int) []complex128 {
-	return s.SampleTo(make([]complex128, 0, nSymbols), x, firstCentre, nSymbols)
-}
-
-// SampleTo is Sample appending into dst[:0] and returning it, growing
-// dst only when its capacity is short of the symbol count.
+// SampleTo extracts the symbol decision points of a matched-filtered
+// waveform into dst[:0] and returns it, given the index of the first
+// symbol centre (the cascade group delay for a ShapeTo->MatchedFilterTo
+// chain is 2*Delay()). dst is reallocated only when its capacity is
+// short of nSymbols. Centres past the end of x are dropped.
 func (s *Shaper) SampleTo(dst, x []complex128, firstCentre, nSymbols int) []complex128 {
+	if cap(dst) < nSymbols {
+		dst = make([]complex128, 0, nSymbols)
+	}
 	dst = dst[:0]
 	for k := 0; k < nSymbols; k++ {
 		idx := firstCentre + k*s.sps

@@ -82,8 +82,8 @@ func TestRRCCascadeIsISIFree(t *testing.T) {
 	// Impulse through shape + matched filter.
 	symbols := make([]complex128, 21)
 	symbols[10] = 1
-	shaped := s.Shape(symbols)
-	matched := s.MatchedFilter(shaped)
+	shaped := s.ShapeTo(nil, symbols, nil)
+	matched := s.MatchedFilterTo(nil, shaped)
 	centre := 10*sps + 2*s.Delay()
 	peak := real(matched[centre])
 	if math.Abs(peak-1) > 0.01 {
@@ -105,9 +105,9 @@ func TestShaperEndToEndQPSK(t *testing.T) {
 	bits := RandomBits(rng, 200)
 	syms := c.MapBits(nil, bits)
 	tx := c.Modulate(nil, syms)
-	wave := s.Shape(tx)
-	matched := s.MatchedFilter(wave)
-	decisions := s.Sample(matched, 2*s.Delay(), len(syms))
+	wave := s.ShapeTo(nil, tx, nil)
+	matched := s.MatchedFilterTo(nil, wave)
+	decisions := s.SampleTo(nil, matched, 2*s.Delay(), len(syms))
 	if len(decisions) != len(syms) {
 		t.Fatalf("got %d decisions, want %d", len(decisions), len(syms))
 	}
@@ -126,7 +126,7 @@ func TestShaperOccupiedBandwidth(t *testing.T) {
 	c := NewQPSK()
 	s, _ := NewShaper(0.35, 8, 10)
 	bits := RandomBits(rng, 2048)
-	wave := s.Shape(c.Modulate(nil, c.MapBits(nil, bits)))
+	wave := s.ShapeTo(nil, c.Modulate(nil, c.MapBits(nil, bits)), nil)
 	spec := dsp.Periodogram(wave, dsp.Hann)
 	n := len(spec)
 	var inBand, outBand float64
@@ -150,11 +150,11 @@ func TestShaperSampleBounds(t *testing.T) {
 	s, _ := NewShaper(0.35, 4, 4)
 	x := make([]complex128, 10)
 	// Asking for more symbols than fit truncates rather than panics.
-	got := s.Sample(x, 8, 100)
+	got := s.SampleTo(nil, x, 8, 100)
 	if len(got) != 1 {
 		t.Fatalf("bounded sample count %d, want 1", len(got))
 	}
-	if got := s.Sample(x, -1, 5); len(got) != 0 {
+	if got := s.SampleTo(nil, x, -1, 5); len(got) != 0 {
 		t.Fatal("negative start must yield nothing")
 	}
 }

@@ -31,7 +31,7 @@ func EstimateCIR(rx, train []complex128, maxLag int) ([]complex128, error) {
 	if e == 0 {
 		return nil, fmt.Errorf("phy: zero-energy training sequence")
 	}
-	corr := dsp.CrossCorrelate(rx[:len(train)+maxLag-1], train)
+	corr := dsp.CrossCorrelateTo(nil, rx[:len(train)+maxLag-1], train, nil)
 	h := make([]complex128, maxLag)
 	inv := complex(1/e, 0)
 	for k := 0; k < maxLag && k < len(corr); k++ {

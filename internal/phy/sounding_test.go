@@ -29,7 +29,7 @@ func TestEstimateCIRRecoversKnownTaps(t *testing.T) {
 	}
 	// Append a tail so delayed copies fully overlap the correlator.
 	tx := append(append([]complex128{}, train...), make([]complex128, 16)...)
-	rx := channel.ApplyTaps(tx, taps)
+	rx := channel.ApplyTapsTo(nil, tx, taps)
 	channel.AWGN(rng, rx, 1e-4)
 
 	h, err := EstimateCIR(rx, train, 12)
@@ -209,7 +209,7 @@ func TestSoundingEndToEndRician(t *testing.T) {
 	}
 	train := pnTraining(rng, 511)
 	tx := append(append([]complex128{}, train...), make([]complex128, 16)...)
-	rx := channel.ApplyTaps(tx, taps)
+	rx := channel.ApplyTapsTo(nil, tx, taps)
 	channel.AWGN(rng, rx, 1e-5)
 	h, err := EstimateCIR(rx, train, 12)
 	if err != nil {

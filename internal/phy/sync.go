@@ -40,7 +40,7 @@ func BestTimingOffset(x []complex128, sps int) (int, error) {
 // preamble starts, along with the correlation score in [0, 1].
 // A score below the caller's threshold means "no frame".
 func FrameSync(x, preamble []complex128) (int, float64) {
-	return dsp.NormalizedPeak(x, preamble)
+	return dsp.NormalizedPeak(x, preamble, nil)
 }
 
 // CarrierPhase estimates the residual carrier phase (radians) of a block

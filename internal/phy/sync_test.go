@@ -14,8 +14,8 @@ func TestBestTimingOffset(t *testing.T) {
 	c := NewQPSK()
 	s, _ := NewShaper(0.35, 8, 10)
 	bits := RandomBits(rng, 400)
-	wave := s.Shape(c.Modulate(nil, c.MapBits(nil, bits)))
-	matched := s.MatchedFilter(wave)
+	wave := s.ShapeTo(nil, c.Modulate(nil, c.MapBits(nil, bits)), nil)
+	matched := s.MatchedFilterTo(nil, wave)
 	// The correct sampling phase is (2*Delay) mod sps = 0 for this
 	// configuration; energy peaks there.
 	off, err := BestTimingOffset(matched, 8)

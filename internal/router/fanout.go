@@ -10,6 +10,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"mmtag/internal/net"
 )
 
 // shardResult is one shard's slot in a scatter-gather response. The
@@ -336,7 +338,7 @@ func (rt *Router) handleTag(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "tag id must be an integer", http.StatusBadRequest)
 		return
 	}
-	owner := ownerOf(rt.cfg.Tags, len(rt.shards), id)
+	owner := net.OwnerShard(rt.cfg.Tags, len(rt.shards), id)
 	if owner < 0 {
 		http.Error(w, fmt.Sprintf("tag %d outside the fleet population", id), http.StatusNotFound)
 		return
@@ -380,12 +382,4 @@ func (rt *Router) handleTag(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Retry-After", "1")
 	http.Error(w, fmt.Sprintf("shard %d unavailable and no cached snapshot holds tag %d", owner, id),
 		http.StatusServiceUnavailable)
-}
-
-// ownerOf is net.OwnerShard with the router's fleet shape.
-func ownerOf(tags, shards, id int) int {
-	if id < 1 || id > tags {
-		return -1
-	}
-	return (id*shards+tags-1)/tags - 1
 }
