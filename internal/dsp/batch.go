@@ -258,7 +258,7 @@ func fftBatchTo(dst, x *Batch, n int, inverse bool, ar *Arena) {
 // len(x.Lane(l)) - m + 1) into lane l of out. Lanes shorter than the
 // reference come back with length 0. Each lane's values are
 // bit-identical to a per-lane CrossCorrelateTo call: lanes under the
-// direct-method threshold run the same direct loop, and the rest are
+// direct-method threshold run the same direct path, and the rest are
 // grouped by FFT size so each group pays one plan walk, one cached
 // spectrum fetch and one interleaved arena pass for every lane in it.
 // out and x must have the same lane count; out's stride must cover the
@@ -282,7 +282,7 @@ func (kn *CorrKernel) CrossCorrelateBatch(out, x *Batch, ar *Arena) {
 		}
 		out.SetLaneLen(l, n-m+1)
 		if n*m <= 1<<14 {
-			correlateDirect(out.Lane(l), x.Lane(l), kn.ref)
+			kn.correlateSmall(out.Lane(l), x.Lane(l))
 			continue
 		}
 		deferred = append(deferred, l, NextPow2(n+m-1))

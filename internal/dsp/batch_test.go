@@ -163,6 +163,17 @@ func TestBatchKernelsZeroAlloc(t *testing.T) {
 	if allocs != 0 {
 		t.Fatalf("FFTBatchTo allocates %v per run, want 0", allocs)
 	}
+	// The waveform tier's preamble search: a two-valued reference on
+	// the product-table path.
+	pre := NewCorrKernel(centredPreamble(63, 1, 1i))
+	px, pout := preambleBatch(8, 227)
+	pre.CrossCorrelateBatch(pout, px, ar)
+	allocs = testing.AllocsPerRun(20, func() {
+		pre.CrossCorrelateBatch(pout, px, ar)
+	})
+	if allocs != 0 {
+		t.Fatalf("CrossCorrelateBatch (product table) allocates %v per run, want 0", allocs)
+	}
 }
 
 func TestBatchReuseShrinksAndGrows(t *testing.T) {

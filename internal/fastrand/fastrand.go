@@ -53,11 +53,30 @@ func New(seed int64) *Rand {
 // overwritten exactly once, making the drawn values the post-draw
 // state), undoing the additive recurrence to get the pre-draw
 // register, and xoring off the recomputed u_i leaves the table. Direct
-// seeding then costs one LCG sweep instead of a clone per Seed; both
-// paths are pinned against the stdlib stream in the package tests.
+// seeding then costs one pass over seedPow instead of a clone per
+// Seed; both are pinned against the stdlib stream in the package tests.
 var rngCooked [rngLen]int64
 
+// seedPow[i] holds the powers 48271^n mod 2^31-1 for the three Lehmer
+// steps n = 21+3i, 22+3i, 23+3i that math/rand's seeding spends on
+// register slot i (20 warm-up steps, then three per slot). Step n of
+// the chain from x0 is x0 * 48271^n mod 2^31-1, so Seed computes every
+// slot independently instead of walking the 1,841-step serial chain.
+var seedPow [rngLen][3]uint64
+
 func init() {
+	// The chain from x0 = 1 is the powers themselves.
+	x := int32(1)
+	for i := 0; i < 20; i++ {
+		x = seedrand(x)
+	}
+	for i := range seedPow {
+		for j := range seedPow[i] {
+			x = seedrand(x)
+			seedPow[i][j] = uint64(x)
+		}
+	}
+
 	src := rand.NewSource(1).(rand.Source64)
 	var drawn [rngLen]uint64
 	for i := range drawn {
@@ -76,18 +95,9 @@ func init() {
 		tap := (rngLen - k) % rngLen
 		vec[feed] = int64(drawn[k-1]) - vec[tap]
 	}
-	// Replay the seeding LCG for seed 1 and xor off its contribution.
-	x := int32(1)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			rngCooked[i] = u ^ vec[i]
-		}
+	// Xor off seed 1's contribution.
+	for i := range rngCooked {
+		rngCooked[i] = seedWord(1, &seedPow[i]) ^ vec[i]
 	}
 }
 
@@ -108,6 +118,28 @@ func seedrand(x int32) int32 {
 	return x
 }
 
+// mulMod31 returns a*b mod 2^31-1 for a, b in [1, 2^31-1), folding the
+// product by 2^31 ≡ 1. The first fold leaves t <= 2^32-2 and the
+// second t <= 2^31-1; t never reaches 2^31-1 itself, because the
+// modulus is prime and neither factor is a multiple of it, so no
+// final subtraction is needed.
+func mulMod31(a, b uint64) uint64 {
+	const p = 1<<31 - 1
+	t := a * b
+	t = t&p + t>>31
+	return t&p + t>>31
+}
+
+// seedWord is the seeding's pre-xor value of one register slot for the
+// chain start x0: the slot's three Lehmer steps packed as math/rand
+// packs them.
+func seedWord(x0 uint64, pw *[3]uint64) int64 {
+	u := int64(mulMod31(x0, pw[0])) << 40
+	u ^= int64(mulMod31(x0, pw[1])) << 20
+	u ^= int64(mulMod31(x0, pw[2]))
+	return u
+}
+
 // Seed resets the generator to the exact state rand.NewSource(seed)
 // starts in.
 func (r *Rand) Seed(seed int64) {
@@ -119,17 +151,9 @@ func (r *Rand) Seed(seed int64) {
 	if seed == 0 {
 		seed = 89482311
 	}
-	x := int32(seed)
-	for i := -20; i < rngLen; i++ {
-		x = seedrand(x)
-		if i >= 0 {
-			u := int64(x) << 40
-			x = seedrand(x)
-			u ^= int64(x) << 20
-			x = seedrand(x)
-			u ^= int64(x)
-			r.vec[i] = u ^ rngCooked[i]
-		}
+	x0 := uint64(seed)
+	for i := range r.vec {
+		r.vec[i] = seedWord(x0, &seedPow[i]) ^ rngCooked[i]
 	}
 	r.tap, r.feed = 0, rngFeed
 	r.readVal, r.readPos = 0, 0

@@ -2,6 +2,7 @@ package fastrand
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -98,6 +99,44 @@ func TestSeedResets(t *testing.T) {
 	if a, b := ref.Int63(), r.Int63(); a != b {
 		t.Fatalf("post-reseed Int63: %d != %d", b, a)
 	}
+}
+
+// Seed computes each register slot from a table of Lehmer powers
+// instead of walking math/rand's serial seeding chain. Pin the register
+// it builds against rand.NewSource at the seeding's edge cases (zero,
+// both signs, the modulus and its neighbours, the int64 extremes) and
+// at random seeds; 700 draws read every one of the 607 slots.
+func TestSeedMatchesNewSource(t *testing.T) {
+	seeds := []int64{0, 1, -1, 1<<31 - 1, 1 << 31, 89482311, math.MinInt64, math.MaxInt64}
+	rng := rand.New(rand.NewSource(17))
+	for i := 0; i < 10000; i++ {
+		seeds = append(seeds, int64(rng.Uint64()))
+	}
+	got := New(0)
+	for _, seed := range seeds {
+		ref := rand.NewSource(seed).(rand.Source64)
+		got.Seed(seed)
+		for d := 0; d < 700; d++ {
+			if a, b := ref.Uint64(), got.Uint64(); a != b {
+				t.Fatalf("seed %d draw %d: %d != %d", seed, d, b, a)
+			}
+		}
+	}
+}
+
+func BenchmarkSeed(b *testing.B) {
+	b.Run("fastrand", func(b *testing.B) {
+		r := New(1)
+		for i := 0; i < b.N; i++ {
+			r.Seed(int64(i))
+		}
+	})
+	b.Run("stdlib", func(b *testing.B) {
+		r := rand.NewSource(1)
+		for i := 0; i < b.N; i++ {
+			r.Seed(int64(i))
+		}
+	})
 }
 
 func BenchmarkNormFloat64(b *testing.B) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/link"
 	"mmtag/internal/mac"
@@ -487,6 +488,9 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 	var bud link.Budget
 	var sym *link.Symbol
 	var wav *link.Waveform
+	// One reseeded RNG per chunk. fastrand's Seed builds the stdlib
+	// register without walking its serial seeding chain, and its stream
+	// is the stdlib's, so the per-tag reseed is cheap and exact.
 	var rng *rand.Rand
 
 	tally := func(a int, tier link.Tier, snrDB float64, ok int) {
@@ -552,7 +556,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 				wav = link.NewWaveform()
 			}
 			if rng == nil {
-				rng = rand.New(rand.NewSource(0))
+				rng = rand.New(fastrand.New(0))
 			}
 			rng.Seed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
@@ -572,7 +576,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 				sym = link.NewSymbol()
 			}
 			if rng == nil {
-				rng = rand.New(rand.NewSource(0))
+				rng = rand.New(fastrand.New(0))
 			}
 			rng.Seed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
