@@ -19,11 +19,11 @@ import (
 	"flag"
 	"fmt"
 	"math"
-	"math/rand"
 	"os"
 
 	"mmtag/internal/ap"
 	"mmtag/internal/channel"
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/iq"
 	"mmtag/internal/obs"
@@ -146,7 +146,7 @@ func synthesize(payload []byte, modulation string, symbolRate float64, sps int,
 	for i := range wave {
 		wave[i] = wave[i]*complex(echoAmp, 0) + complex(0.8, 0.3)
 	}
-	channel.AWGN(rand.New(rand.NewSource(seed)), wave, noise)
+	channel.AWGN(fastrand.New(seed), wave, noise)
 
 	meta, err := json.Marshal(captureMeta{
 		Modulation:   modulation,

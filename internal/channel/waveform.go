@@ -12,30 +12,34 @@ import (
 
 // AWGN adds complex white Gaussian noise with the given total noise power
 // (variance split evenly between I and Q) to x in place and returns x.
-// The rng makes runs reproducible.
-func AWGN(rng *rand.Rand, x []complex128, noisePower float64) []complex128 {
+// The rng makes runs reproducible. It must be a *fastrand.Rand, which
+// runs awgnFused, or a *rand.Rand, which runs the plain loop the fused
+// body is tested against. Both draw the same Gaussians in the same
+// order, so the two generators seeded alike add bit-identical noise.
+// Any other RNG panics (see fastrand.RNG).
+func AWGN(rng fastrand.RNG, x []complex128, noisePower float64) []complex128 {
 	if noisePower < 0 {
 		panic("channel: noise power must be >= 0")
 	}
 	sigma := math.Sqrt(noisePower / 2)
-	for i := range x {
-		x[i] += complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
+	switch r := rng.(type) {
+	case *fastrand.Rand:
+		awgnFused(r, x, sigma)
+	case *rand.Rand:
+		for i := range x {
+			x[i] += complex(r.NormFloat64()*sigma, r.NormFloat64()*sigma)
+		}
+	default:
+		panic("channel: AWGN needs a *rand.Rand or a *fastrand.Rand")
 	}
 	return x
 }
 
-// AWGNFast is AWGN on the devirtualized fastrand generator: the same
-// draws in the same order, so a fastrand.Rand and a math/rand.Rand
-// seeded alike produce bit-identical noise. Hot Monte-Carlo loops
-// (E9/E11 waveform sweeps) use this form: the generator runs through a
-// detached fastrand.Core with the ziggurat accept test inlined, so the
-// common path is free of calls entirely (NormSlow handles the <1%
-// rejections).
-func AWGNFast(rng *fastrand.Rand, x []complex128, noisePower float64) []complex128 {
-	if noisePower < 0 {
-		panic("channel: noise power must be >= 0")
-	}
-	sigma := math.Sqrt(noisePower / 2)
+// awgnFused is AWGN's body for the devirtualized fastrand generator:
+// the generator runs through a detached fastrand.Core with the
+// ziggurat accept test inlined, so the common path is free of calls
+// entirely (NormSlow handles the <1% rejections).
+func awgnFused(rng *fastrand.Rand, x []complex128, sigma float64) {
 	core := rng.Core()
 	for i := range x {
 		j1 := int32(core.Uint32())
@@ -55,7 +59,6 @@ func AWGNFast(rng *fastrand.Rand, x []complex128, noisePower float64) []complex1
 		x[i] += complex(x1*sigma, x2*sigma)
 	}
 	rng.SetCore(core)
-	return x
 }
 
 // NoiseFor returns the noise power that yields the requested linear SNR
@@ -111,7 +114,7 @@ type Tap struct {
 // K-factor, linear) and exponentially decaying delay profile. mmWave
 // indoor links are strongly Rician (K of 7-15 dB) because the narrow
 // beams suppress most scatterers.
-func RicianTaps(rng *rand.Rand, kFactor float64, nTaps, maxDelay int) ([]Tap, error) {
+func RicianTaps(rng fastrand.RNG, kFactor float64, nTaps, maxDelay int) ([]Tap, error) {
 	if kFactor <= 0 {
 		return nil, fmt.Errorf("channel: K-factor must be positive, got %g", kFactor)
 	}

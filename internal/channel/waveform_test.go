@@ -47,6 +47,33 @@ func TestAWGNPanicsNegative(t *testing.T) {
 	AWGN(rand.New(rand.NewSource(1)), make([]complex128, 1), -1)
 }
 
+// AWGN accepts exactly the two stream-identical generators; any other
+// RNG type is a programming error.
+func TestAWGNPanicsOnOtherGenerator(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("expected panic")
+		}
+	}()
+	type wrapped struct{ *rand.Rand }
+	AWGN(wrapped{rand.New(rand.NewSource(1))}, make([]complex128, 1), 1)
+}
+
+// A *fastrand.Rand made for one AWGN call stays on the caller's stack:
+// the kernel never calls a method through the interface, so passing the
+// generator does not move its register to the heap.
+func TestAWGNKeepsGeneratorOnStack(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	x := make([]complex128, 64)
+	if allocs := testing.AllocsPerRun(20, func() {
+		AWGN(fastrand.New(3), x, 0.5)
+	}); allocs != 0 {
+		t.Errorf("AWGN with a fresh generator allocates %.1f/op, want 0", allocs)
+	}
+}
+
 func TestNoiseFor(t *testing.T) {
 	if np := NoiseFor(2, 4); math.Abs(np-0.5) > 1e-15 {
 		t.Fatalf("NoiseFor = %g", np)
@@ -284,10 +311,11 @@ func TestAWGNSNRConsistency(t *testing.T) {
 	}
 }
 
-// AWGNFast must add bit-identical noise to AWGN for identically seeded
-// generators — same draws, same order, including the NormSlow
+// AWGN on a *fastrand.Rand (the fused body) must add bit-identical
+// noise to AWGN on a *rand.Rand (the reference loop) for identically
+// seeded generators — same draws, same order, including the NormSlow
 // rejection path (exercised by the large sample count).
-func TestAWGNFastMatchesAWGN(t *testing.T) {
+func TestAWGNFusedMatchesReference(t *testing.T) {
 	for _, seed := range []int64{1, 42, -9} {
 		ref := rand.New(rand.NewSource(seed))
 		fast := fastrand.New(seed)
@@ -298,7 +326,7 @@ func TestAWGNFastMatchesAWGN(t *testing.T) {
 			a[i], b[i] = v, v
 		}
 		AWGN(ref, a, 0.25)
-		AWGNFast(fast, b, 0.25)
+		AWGN(fast, b, 0.25)
 		for i := range a {
 			if a[i] != b[i] {
 				t.Fatalf("seed %d: sample %d differs: %v != %v", seed, i, b[i], a[i])

@@ -1,9 +1,8 @@
 package eval
 
 import (
-	"math/rand"
-
 	"mmtag/internal/channel"
+	"mmtag/internal/fastrand"
 	"mmtag/internal/phy"
 	"mmtag/internal/rfmath"
 )
@@ -35,7 +34,7 @@ func e16Multipath(x Exec, seed int64) (*Table, error) {
 	err := x.runGrid(t, len(grid), func(shard int) ([]row, error) {
 		kDB := grid[shard]
 		c := phy.NewQPSK()
-		rng := rand.New(rand.NewSource(seed + int64(kDB*10)))
+		rng := fastrand.New(seed + int64(kDB*10))
 		k := rfmath.FromDB(kDB)
 		var serOneSum, serMMSESum, spreadSum float64
 		for rz := 0; rz < realizations; rz++ {

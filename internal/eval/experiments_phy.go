@@ -25,9 +25,9 @@ func E3BERvsEbN0(seed int64) (*Table, error) {
 // threads through every (modulation, Eb/N0) cell in row order, so
 // splitting it would change the published numbers. It runs as a single
 // shard and parallelizes only against its sibling experiments. The
-// stream comes from fastrand and the cells run the fused
-// MeasureBERFast — bit-identical to the historical
-// rand.New + MeasureBER pairing.
+// stream is a *fastrand.Rand, so the cells run MeasureBER's fused
+// body — bit-identical to the historical rand.New + MeasureBER
+// pairing.
 // e3Mods, e3EbN0DB and e3BitBudget are package-level so the throughput
 // accounting in tput.go counts exactly the symbols the experiment
 // processes (see TagSymbolWorkload) — one definition, no drift.
@@ -79,7 +79,7 @@ func e3BERvsEbN0(x Exec, seed int64) (*Table, error) {
 				ebn0 := rfmath.FromDB(db)
 				want := m.theory(ebn0)
 				nBits := e3BitBudget(want)
-				res, err := phy.MeasureBERFast(c, ebn0, nBits, rng)
+				res, err := phy.MeasureBER(c, ebn0, nBits, rng)
 				if err != nil {
 					return nil, err
 				}
@@ -176,7 +176,7 @@ func e9Cancellation(x Exec, tb *Testbed, seed int64) (*Table, error) {
 		for i := range wave {
 			wave[i] = wave[i]*echoAmp + complex(0.9, 0.3) // residual SI at ~unit amplitude
 		}
-		channel.AWGNFast(rng, wave, noiseRel)
+		channel.AWGN(rng, wave, noiseRel)
 		// AGC: the converter full scale tracks the composite peak.
 		peak := 0.0
 		for _, v := range wave {
@@ -242,7 +242,7 @@ func e11SwitchLimit(x Exec, tb *Testbed, seed int64) ([]*Table, error) {
 		for i := range wave {
 			wave[i] = wave[i]*0.01 + complex(0.7, 0.2)
 		}
-		channel.AWGNFast(rng, wave, 1e-8)
+		channel.AWGN(rng, wave, 1e-8)
 		res := dem.DemodulateWaveform(wave, 8)
 		return []row{{rateMHz, mod.SettledFraction(), res.EVM, fmt.Sprintf("%v", res.OK())}}, nil
 	})

@@ -140,7 +140,7 @@ func RunBatchMicro(lanes, reps int, seed int64) (*BatchMicro, error) {
 		mod.Reset()
 		wave := mod.Waveform(rx.LaneCap(l)[:0], symbols)
 		rng := fastrand.New(seed + int64(l))
-		channel.AWGNFast(rng, wave, 1e-4)
+		channel.AWGN(rng, wave, 1e-4)
 		rx.SetLaneLen(l, len(wave))
 	}
 

@@ -8,6 +8,13 @@
 // into the distribution code (the interface call per draw is most of
 // what MeasureBER and AWGN pay the RNG for).
 //
+// RNG is the draw set the link tier and its kernels take. Both
+// *rand.Rand and *Rand satisfy it, and the hot kernels (phy.MeasureBER,
+// channel.AWGN) switch on its dynamic type: on a *Rand they run a fused
+// body with the generator inlined, on a *rand.Rand a plain loop. Both
+// consume the same draws in the same order, so which generator a
+// caller hands in never changes a result, only its cost.
+//
 // The method bodies and the ziggurat tables are derived from Go's
 // math/rand (rng.go, rand.go, normal.go), BSD-style license, Copyright
 // 2009 The Go Authors. ExpFloat64 is intentionally absent: no hot path
@@ -37,6 +44,27 @@ type Rand struct {
 	readVal   int64
 	readPos   int8
 }
+
+// RNG is the set of draws the link engines and the Monte-Carlo kernels
+// make: uniform floats, bounded integers, standard normals and bytes.
+// *rand.Rand and *Rand implement it with identical streams for a given
+// seed, and they are the only implementations the kernels accept:
+// phy.MeasureBER and channel.AWGN panic on any other type. The kernels
+// call methods only on the two concrete types, never through the
+// interface, because a call through it would move every caller's
+// generator to the heap. A *Rand a caller creates for one call then
+// stays on the caller's stack.
+type RNG interface {
+	Float64() float64
+	Intn(n int) int
+	NormFloat64() float64
+	Read(p []byte) (int, error)
+}
+
+var (
+	_ RNG = (*Rand)(nil)
+	_ RNG = (*rand.Rand)(nil)
+)
 
 // New returns a generator whose stream is bit-identical to
 // rand.New(rand.NewSource(seed)).

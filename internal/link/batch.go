@@ -3,10 +3,10 @@ package link
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
 	"mmtag/internal/channel"
 	"mmtag/internal/dsp"
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/mac"
 )
@@ -61,7 +61,7 @@ type BatchEngine interface {
 	Engine
 	// StageFrame generates (but does not demodulate) one frame trial
 	// into b, drawing all of the trial's randomness from rng now.
-	StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) error
+	StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) error
 	// FlushFrames demodulates every staged trial with the batched
 	// kernel and appends one success flag per trial, in stage order,
 	// to dst. The batch is reset on return.
@@ -74,7 +74,7 @@ var _ BatchEngine = (*Waveform)(nil)
 // FrameSuccess. The waveform is synthesized straight into a batch
 // lane; sync, channel estimation, decision and CRC wait for
 // FlushFrames.
-func (w *Waveform) StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) error {
+func (w *Waveform) StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) error {
 	if math.IsNaN(snr) || snr <= 0 {
 		// The serial path returns false without touching rng; keep a
 		// placeholder lane so trial i is always lane i.
@@ -179,7 +179,7 @@ type FrameTrial struct {
 	Rate         mac.Rate
 	SNR          float64
 	PayloadBytes int
-	Rng          *rand.Rand
+	Rng          fastrand.RNG
 }
 
 // FrameSuccessBatch stages and flushes trials in one call, appending

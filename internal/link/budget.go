@@ -3,8 +3,8 @@ package link
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/mac"
 	"mmtag/internal/par"
 	"mmtag/internal/phy"
@@ -49,7 +49,7 @@ func (Budget) BER(mod mac.Modulation, ebn0 float64) float64 {
 // MeasureBER implements Engine: the closed-form curve quantized to
 // round(ber*nBits) errors. rng is unused — tier c is deterministic
 // given its inputs.
-func (b Budget) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, _ *rand.Rand) (phy.BERResult, error) {
+func (b Budget) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, _ fastrand.RNG) (phy.BERResult, error) {
 	if nBits <= 0 {
 		return phy.BERResult{}, fmt.Errorf("link: bit count must be positive, got %d", nBits)
 	}
@@ -69,13 +69,16 @@ func (Budget) SuccessProb(r mac.Rate, snr float64, airBits int) float64 {
 
 // FrameSuccess implements Engine: one Bernoulli draw against
 // SuccessProb over the frame's on-air bits.
-func (b Budget) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error) {
+func (b Budget) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error) {
 	return rng.Float64() < b.SuccessProb(r, snr, airBitsFor(r, payloadBytes)), nil
 }
 
-// FrameOutcome is the allocation-free hot-path variant of FrameSuccess,
-// drawing from a value-type par.Stream instead of a heap *rand.Rand.
-// The million-tag deployment loop calls this once per (tag, frame).
+// FrameOutcome is the allocation-free variant of FrameSuccess, drawing
+// from a value-type par.Stream instead of a heap generator. It is one
+// frame's outcome; a loop over many frames at a fixed rate, SNR and
+// frame size (the scale engine's per-tag loop) computes SuccessProb
+// once and compares each draw against it, which is the same outcome
+// sequence for the same stream.
 func (b Budget) FrameOutcome(r mac.Rate, snr float64, airBits int, s *par.Stream) bool {
 	return s.Float64() < b.SuccessProb(r, snr, airBits)
 }

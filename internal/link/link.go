@@ -17,8 +17,8 @@ package link
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/mac"
 	"mmtag/internal/phy"
 )
@@ -61,11 +61,11 @@ type Engine interface {
 	// MeasureBER estimates the bit error rate of the modulation at
 	// linear Eb/N0 over nBits transmitted bits, drawing randomness from
 	// rng. Tier c is closed-form and ignores rng.
-	MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng *rand.Rand) (phy.BERResult, error)
+	MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng fastrand.RNG) (phy.BERResult, error)
 	// FrameSuccess reports whether a single data frame carrying
 	// payloadBytes decodes at the given linear SNR (measured in the
 	// rate's symbol-rate noise bandwidth, as mac.Rate.BERAt expects).
-	FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error)
+	FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error)
 }
 
 // Thresholds maps link SNR to the cheapest tier that still resolves

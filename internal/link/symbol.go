@@ -3,8 +3,8 @@ package link
 import (
 	"fmt"
 	"math"
-	"math/rand"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/mac"
 	"mmtag/internal/phy"
@@ -65,7 +65,7 @@ func (s *Symbol) constellation(name string) (*phy.Constellation, error) {
 }
 
 // MeasureBER implements Engine via the phy symbol Monte-Carlo.
-func (s *Symbol) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng *rand.Rand) (phy.BERResult, error) {
+func (s *Symbol) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng fastrand.RNG) (phy.BERResult, error) {
 	c, err := s.constellation(mod.Name)
 	if err != nil {
 		return phy.BERResult{}, err
@@ -76,7 +76,7 @@ func (s *Symbol) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng *ra
 // FrameSuccess implements Engine: the frame's on-air bits run through
 // the symbol Monte-Carlo and the frame survives iff none flip — the
 // same independence model tier c's PERFromBER closes in one formula.
-func (s *Symbol) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error) {
+func (s *Symbol) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error) {
 	ebn0 := ebn0For(r, snr)
 	if math.IsNaN(ebn0) || ebn0 <= 0 {
 		return false, nil

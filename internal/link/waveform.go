@@ -4,11 +4,11 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
-	"math/rand"
 
 	"mmtag/internal/ap"
 	"mmtag/internal/channel"
 	"mmtag/internal/dsp"
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/mac"
 	"mmtag/internal/phy"
@@ -122,7 +122,7 @@ func (w *Waveform) demodulator(name string, coded bool) (*ap.Demodulator, error)
 // the requested Eb/N0, and the dumped symbols are sliced and compared.
 // The RNG draw order (all bit draws, then the per-sample noise pairs)
 // is fixed, so results depend only on the rng stream.
-func (w *Waveform) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng *rand.Rand) (phy.BERResult, error) {
+func (w *Waveform) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng fastrand.RNG) (phy.BERResult, error) {
 	if ebn0 <= 0 || math.IsNaN(ebn0) {
 		return phy.BERResult{}, fmt.Errorf("link: Eb/N0 must be positive, got %g", ebn0)
 	}
@@ -186,7 +186,7 @@ func (w *Waveform) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng *
 // handed to the AP demodulator; success is a CRC-clean decode. Unlike
 // the cheaper tiers this pays sync and channel-estimation losses, which
 // is exactly why strong links deserve it.
-func (w *Waveform) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error) {
+func (w *Waveform) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error) {
 	if math.IsNaN(snr) || snr <= 0 {
 		return false, nil
 	}

@@ -4,6 +4,8 @@ import (
 	"errors"
 	"math/rand"
 	"testing"
+
+	"mmtag/internal/fastrand"
 )
 
 // scriptedEngine returns a fixed success schedule and records every
@@ -15,7 +17,7 @@ type scriptedEngine struct {
 	fail   error
 }
 
-func (e *scriptedEngine) FrameSuccess(r Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error) {
+func (e *scriptedEngine) FrameSuccess(r Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error) {
 	if e.fail != nil {
 		return false, e.fail
 	}

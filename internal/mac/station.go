@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/obs"
 )
@@ -45,7 +46,7 @@ type FrameEngine interface {
 	// FrameSuccess reports whether one data frame carrying
 	// payloadBytes at rate r succeeds at linear SNR snr. All
 	// randomness must come from rng.
-	FrameSuccess(r Rate, snr float64, payloadBytes int, rng *rand.Rand) (bool, error)
+	FrameSuccess(r Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error)
 }
 
 // StationConfig parameterizes the AP-side MAC.

@@ -3,7 +3,6 @@ package net
 import (
 	"fmt"
 	"math"
-	"math/rand"
 	"sync/atomic"
 
 	"mmtag/internal/fastrand"
@@ -490,8 +489,10 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 	var wav *link.Waveform
 	// One reseeded RNG per chunk. fastrand's Seed builds the stdlib
 	// register without walking its serial seeding chain, and its stream
-	// is the stdlib's, so the per-tag reseed is cheap and exact.
-	var rng *rand.Rand
+	// is the stdlib's, so the per-tag reseed is cheap and exact. Handing
+	// the engines the concrete *fastrand.Rand lets phy.MeasureBER and
+	// channel.AWGN take their fused bodies, drawing the same stream.
+	var rng *fastrand.Rand
 
 	tally := func(a int, tier link.Tier, snrDB float64, ok int) {
 		agg.tags[a].Add(1)
@@ -545,9 +546,12 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 		linkStream := streamScaleLinkBase + uint64(tier)*scaleTierStride + uint64(i)
 		switch tier {
 		case link.TierBudget:
+			// Rate, SNR and air bits are fixed for the tag, so the
+			// closed-form probability is too; only the draws are per frame.
 			st := par.NewStream(cfg.Seed, linkStream)
+			p := bud.SuccessProb(cfg.Rate, snrRate, s.airBits)
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				if bud.FrameOutcome(cfg.Rate, snrRate, s.airBits, &st) {
+				if st.Float64() < p {
 					ok++
 				}
 			}
@@ -556,7 +560,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 				wav = link.NewWaveform()
 			}
 			if rng == nil {
-				rng = rand.New(fastrand.New(0))
+				rng = fastrand.New(0)
 			}
 			rng.Seed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
@@ -576,7 +580,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 				sym = link.NewSymbol()
 			}
 			if rng == nil {
-				rng = rand.New(fastrand.New(0))
+				rng = fastrand.New(0)
 			}
 			rng.Seed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {

@@ -136,33 +136,46 @@ func TestScaleReportTotalsConsistent(t *testing.T) {
 
 // TestScaleRunAllocsOAPs guards the tentpole memory invariant: resident
 // allocation is O(APs), not O(tags). Doubling the population three
-// times over must not grow the per-Run allocation count (tier c's
-// per-tag hot path is allocation-free).
+// times over must not grow the per-Run allocation count, on the
+// all-budget ladder (tier c's per-tag hot path is allocation-free) and
+// on an all-symbol ladder (tier b reseeds one chunk-wide generator and
+// its fused BER body borrows pooled scratch).
 func TestScaleRunAllocsOAPs(t *testing.T) {
-	tiers := link.AllBudget()
-	allocsFor := func(tags int) float64 {
-		cfg := ScaleConfig{
-			APs: 9, Cols: 3, CellM: 32,
-			Tags: tags, Seed: 4242,
-			FramesPerTag: 2,
-			ChunkSize:    tags, // one chunk: isolate per-tag from per-chunk cost
-			Tiers:        &tiers,
+	ladders := []struct {
+		name  string
+		tiers link.Thresholds
+	}{
+		{"budget", link.AllBudget()},
+		{"symbol", link.Thresholds{WaveformMinDB: math.Inf(1), SymbolMinDB: math.Inf(-1)}},
+	}
+	for _, l := range ladders {
+		if l.name == "symbol" && raceEnabled {
+			continue // tier b's arena pool sheds at random under -race
 		}
-		s, err := NewScale(cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return testing.AllocsPerRun(5, func() {
-			if _, err := s.Run(); err != nil {
+		allocsFor := func(tags int) float64 {
+			cfg := ScaleConfig{
+				APs: 9, Cols: 3, CellM: 32,
+				Tags: tags, Seed: 4242,
+				FramesPerTag: 2,
+				ChunkSize:    tags, // one chunk: isolate per-tag from per-chunk cost
+				Tiers:        &l.tiers,
+			}
+			s, err := NewScale(cfg)
+			if err != nil {
 				t.Fatal(err)
 			}
-		})
-	}
-	small := allocsFor(2000)
-	large := allocsFor(16000)
-	if large > small+8 {
-		t.Fatalf("allocations scale with population: %.0f allocs at 2k tags vs %.0f at 16k",
-			small, large)
+			return testing.AllocsPerRun(5, func() {
+				if _, err := s.Run(); err != nil {
+					t.Fatal(err)
+				}
+			})
+		}
+		small := allocsFor(2000)
+		large := allocsFor(16000)
+		if large > small+8 {
+			t.Fatalf("%s ladder: allocations scale with population: %.0f allocs at 2k tags vs %.0f at 16k",
+				l.name, small, large)
+		}
 	}
 }
 

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 
 	"mmtag/internal/dsp"
+	"mmtag/internal/fastrand"
 )
 
 // BitErrors counts positions where a and b differ. Slices must have equal
@@ -25,7 +26,7 @@ func BitErrors(a, b []byte) (int, error) {
 }
 
 // RandomBits fills a new slice of n pseudo-random bits from rng.
-func RandomBits(rng *rand.Rand, n int) []byte {
+func RandomBits(rng fastrand.RNG, n int) []byte {
 	bits := make([]byte, n)
 	for i := range bits {
 		bits[i] = byte(rng.Intn(2))
@@ -61,13 +62,31 @@ func (r BERResult) Rate() float64 {
 // and every floating-point operation match the original staged
 // pipeline, so results for a given rng stream are unchanged — the
 // buffers are just gone.
-func MeasureBER(c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) (BERResult, error) {
+//
+// rng must be a *fastrand.Rand, which runs measureBERFused with the
+// generator inlined into the loop, or a *rand.Rand, which runs
+// measureBERRef, the plain loop the equivalence tests hold the fused
+// body to. Both draw the same stream, so the result depends only on the
+// seed, not the type. Any other RNG panics (see fastrand.RNG).
+func MeasureBER(c *Constellation, ebn0 float64, nBits int, rng fastrand.RNG) (BERResult, error) {
 	if ebn0 <= 0 {
 		return BERResult{}, fmt.Errorf("phy: Eb/N0 must be positive, got %g", ebn0)
 	}
 	if nBits <= 0 {
 		return BERResult{}, fmt.Errorf("phy: bit count must be positive, got %d", nBits)
 	}
+	switch r := rng.(type) {
+	case *fastrand.Rand:
+		return measureBERFused(c, ebn0, nBits, r), nil
+	case *rand.Rand:
+		return measureBERRef(c, ebn0, nBits, r), nil
+	}
+	panic("phy: MeasureBER needs a *rand.Rand or a *fastrand.Rand")
+}
+
+// measureBERRef is MeasureBER's body for a *rand.Rand. MeasureBER has
+// validated the arguments.
+func measureBERRef(c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) BERResult {
 	bps := c.BitsPerSymbol()
 	nSym := (nBits + bps - 1) / bps
 	ar := dsp.GetArena()
@@ -109,7 +128,7 @@ func MeasureBER(c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) (BERR
 	}
 	ar.PutInts(syms)
 	dsp.PutArena(ar)
-	return BERResult{Bits: nBits, Errors: errs}, nil
+	return BERResult{Bits: nBits, Errors: errs}
 }
 
 // MeasureSER runs a symbol-error Monte-Carlo at linear Es/N0.

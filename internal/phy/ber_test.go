@@ -88,6 +88,9 @@ func TestMeasuredBERMatchesTheory(t *testing.T) {
 	}
 }
 
+// The reference loop rejects an invalid Eb/N0 or bit count
+// (TestMeasureBERFastValidation covers the fused body). A third
+// generator type is a programming error and panics.
 func TestMeasureBERErrors(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	if _, err := MeasureBER(NewBPSK(), 0, 100, rng); err == nil {
@@ -96,6 +99,13 @@ func TestMeasureBERErrors(t *testing.T) {
 	if _, err := MeasureBER(NewBPSK(), 1, 0, rng); err == nil {
 		t.Fatal("zero bits must error")
 	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a generator other than *rand.Rand or *fastrand.Rand must panic")
+		}
+	}()
+	type wrapped struct{ *rand.Rand }
+	MeasureBER(NewBPSK(), 1, 100, wrapped{rand.New(rand.NewSource(1))})
 }
 
 func TestMeasureSER(t *testing.T) {

@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"time"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/obs"
 )
 
@@ -38,7 +39,7 @@ func NewBERMeter(reg *obs.Registry) *BERMeter {
 }
 
 // MeasureBER runs MeasureBER, metering the trial when instrumented.
-func (m *BERMeter) MeasureBER(c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) (BERResult, error) {
+func (m *BERMeter) MeasureBER(c *Constellation, ebn0 float64, nBits int, rng fastrand.RNG) (BERResult, error) {
 	if m == nil {
 		return MeasureBER(c, ebn0, nBits, rng)
 	}

@@ -6,7 +6,7 @@ import (
 )
 
 // The fast slicers are plain data structs rather than closures so hot
-// kernels (MeasureBERFast, the batch demodulator's decision loops) can
+// kernels (MeasureBER's fused body, the batch demodulator's decision loops) can
 // branch on the recognized shape once and inline the per-symbol
 // decision, instead of paying an indirect call per symbol.
 
