@@ -9,7 +9,7 @@ check: fmt vet build race docs
 # Documentation and API-shape gates: every package has a doc comment
 # (internal ones citing their DESIGN.md section), every relative
 # markdown link resolves, and no kernel has a twin entry point (a func
-# X beside XTo, XWith, XKern or XFast).
+# X beside XTo, XWith, XKern, XFast or XBatch).
 docs:
 	sh scripts/pkgdoc_lint.sh
 	sh scripts/mdlink_check.sh

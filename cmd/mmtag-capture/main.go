@@ -189,13 +189,13 @@ func decode(h iq.Header, samples []complex128, equalize bool, reg *obs.Registry)
 		dem.Instrument(reg)
 	}
 	sps := int(h.SampleRateHz/meta.SymbolRateHz + 0.5)
-	var res *ap.UplinkResult
+	var res ap.UplinkResult
 	if equalize {
 		res = dem.DemodulateEqualized(samples, sps, 4)
 	} else {
 		res = dem.Demodulate(samples, sps)
 	}
-	return res, &meta, nil
+	return &res, &meta, nil
 }
 
 func doSynth(payload, modulation string, symbolRate float64, sps int,

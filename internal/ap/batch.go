@@ -8,18 +8,20 @@ import (
 	"mmtag/internal/dsp"
 )
 
-// This file is the batched receive path: one Demodulator pass over a
-// structure-of-arrays batch of per-tag waveforms. The per-tag pipeline
-// is exactly Demodulate's — integrate-and-dump per sub-symbol
-// alignment, offset-immune preamble search, joint gain/offset fit,
-// equalize, slice, decode — but every (waveform, alignment) pair
-// becomes one lane of a dsp.Batch, so the preamble correlations of the
-// whole batch sweep through one cached FFT plan, one cached preamble
-// spectrum and one arena pass instead of lanes × (plan walk + spectrum
-// lookup + scratch borrow). Results are bit-identical to N serial
-// Demodulate calls: the per-lane arithmetic is the same operations in
-// the same order, only the memory layout and the amortization of
-// size-keyed lookups change.
+// This file is the receive path: one Demodulator pass over a
+// structure-of-arrays batch of per-tag waveforms, and the one-waveform
+// Demodulate that stages its input as a single-lane batch. The per-tag
+// pipeline is integrate-and-dump per sub-symbol alignment,
+// offset-immune preamble search, joint gain/offset fit, equalize,
+// slice, decode — but every (waveform, alignment) pair becomes one lane
+// of a dsp.Batch, so the preamble correlations of the whole batch sweep
+// through one cached FFT plan, one cached preamble spectrum and one
+// arena pass instead of lanes × (plan walk + spectrum lookup + scratch
+// borrow). Results are bit-identical to the serial reference pipeline
+// the package tests keep as an oracle (one waveform, one alignment at a
+// time): the per-lane arithmetic is the same operations in the same
+// order, only the memory layout and the amortization of size-keyed
+// lookups differ.
 //
 // DESIGN.md: section 11 (batched demodulation).
 
@@ -34,7 +36,7 @@ type demodScratch struct {
 var demodScratchPool = sync.Pool{New: func() interface{} { return new(demodScratch) }}
 
 // waveScratch stages one waveform into a single-lane batch for
-// DemodulateWaveform; pooled so the staging buffer is amortized.
+// Demodulate; pooled so the staging buffer is amortized.
 type waveScratch struct {
 	rx  dsp.Batch
 	res [1]UplinkResult
@@ -42,11 +44,14 @@ type waveScratch struct {
 
 var waveScratchPool = sync.Pool{New: func() interface{} { return new(waveScratch) }}
 
-// DemodulateWaveform runs the fused batch kernel on a single waveform:
-// bit-identical to Demodulate(rx, sps), but the sps alignment
+// Demodulate runs the full uplink pipeline on one oversampled baseband
+// waveform: symbol integration, preamble search (over symbol-timing
+// offsets), joint gain/offset estimation, equalization, slicing, and
+// frame decode. sps is the receiver's samples per symbol. It is the
+// fused batch kernel over a one-lane batch: the sps alignment
 // hypotheses sweep one grouped FFT, and the staging batch is pooled so
 // steady-state calls allocate only what escapes with the result.
-func (d *Demodulator) DemodulateWaveform(rx []complex128, sps int) UplinkResult {
+func (d *Demodulator) Demodulate(rx []complex128, sps int) UplinkResult {
 	s := waveScratchPool.Get().(*waveScratch)
 	s.rx.Reset(1, len(rx))
 	copy(s.rx.LaneCap(0), rx)
@@ -60,7 +65,7 @@ func (d *Demodulator) DemodulateWaveform(rx []complex128, sps int) UplinkResult 
 // DemodulateBatchTo demodulates every lane of rx — one per-tag waveform
 // per lane, all sampled at sps samples per symbol — into one
 // UplinkResult per lane of dst (grown only when its capacity is short),
-// bit-identical to calling Demodulate on each lane in turn. With a
+// the same results as calling Demodulate on each lane in turn. With a
 // capacious dst, steady-state passes allocate only what escapes to the
 // caller: decoded frames and formatted per-tag errors.
 func (d *Demodulator) DemodulateBatchTo(dst []UplinkResult, rx *dsp.Batch, sps int) []UplinkResult {
@@ -116,8 +121,8 @@ func (d *Demodulator) demodBatchKernel(res []UplinkResult, rx *dsp.Batch, sps in
 	scr.corr.Reset(lanes, maxSyms)
 
 	// Stage 1: integrate-and-dump every sub-symbol alignment of every
-	// waveform into its own lane. Lanes that Demodulate would skip (too
-	// short for the preamble search) stay empty.
+	// waveform into its own lane. Alignments too short for the
+	// preamble search stay empty lanes.
 	skip := sps / 4
 	div := float64(sps - skip)
 	for t := 0; t < n; t++ {
@@ -171,7 +176,7 @@ func (d *Demodulator) demodBatchKernel(res []UplinkResult, rx *dsp.Batch, sps in
 	// the whole batch.
 	d.preKern.CrossCorrelateBatch(&scr.corr, &scr.syms, ar)
 
-	// Stage 3: offset-immune peak scoring, lane by lane in Demodulate's
+	// Stage 3: offset-immune peak scoring, lane by lane in ascending
 	// alignment order; keep each waveform's best (lag, score, lane).
 	refE := dsp.Energy(d.centredPre)
 	prefSum := ar.Complex(maxSyms + 1)
@@ -246,8 +251,8 @@ func (d *Demodulator) demodBatchKernel(res []UplinkResult, rx *dsp.Batch, sps in
 	}
 	d.m.observeStage("sync", start)
 
-	// Stage 4: finish each waveform exactly as Demodulate does — gain/
-	// offset fit on the preamble, equalize, EVM, slice and decode.
+	// Stage 4: finish each waveform — gain/offset fit on the preamble,
+	// equalize, EVM, slice and decode.
 	for t := 0; t < n; t++ {
 		if res[t].Err != nil {
 			continue

@@ -27,10 +27,38 @@ func packBatch(waves [][]complex128) *dsp.Batch {
 	return b
 }
 
+// batchCase is one demodulator configuration the batch kernel is held
+// to the serial oracle on.
+type batchCase struct {
+	set  vanatta.StateSet
+	sps  int
+	opts frame.Options
+}
+
+func (c batchCase) String() string {
+	return fmt.Sprintf("%s-sps%d-coded%v", c.set.Name(), c.sps, c.opts.Coded)
+}
+
+// batchCases covers every branch of decide: uncoded OOK (the original
+// input), coded BPSK (the soft-Viterbi path), coded QPSK (coded, hard)
+// and 16-QAM, each multi-bit alphabet at the tier-a oversampling (4)
+// and the experiments' (8).
+func batchCases() []batchCase {
+	cases := []batchCase{{vanatta.OOK(), 8, frame.Options{}}}
+	for _, sps := range []int{4, 8} {
+		cases = append(cases,
+			batchCase{vanatta.BPSK(), sps, frame.Options{Coded: true}},
+			batchCase{vanatta.QPSK(), sps, frame.Options{Coded: true}},
+			batchCase{vanatta.QAM16(), sps, frame.Options{}})
+	}
+	return cases
+}
+
 // buildBatchWaves builds n per-tag waveforms sharing one demodulator
-// config, with ragged lengths, varying channels, and deliberate failure
-// lanes (no preamble, too short) sprinkled in.
-func buildBatchWaves(t testing.TB, n int, seed int64) ([][]complex128, *Demodulator) {
+// config, with ragged lengths, varying channels, noisy lanes whose
+// decode may fail after sync, and deliberate failure lanes (no
+// preamble, too short) sprinkled in.
+func buildBatchWaves(t testing.TB, n int, seed int64, bc batchCase) ([][]complex128, *Demodulator) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	var dem *Demodulator
@@ -51,8 +79,12 @@ func buildBatchWaves(t testing.TB, n int, seed int64) ([][]complex128, *Demodula
 			rng.Read(payload)
 			echo := complex(0.002, 0.0002*float64(i%8))
 			static := complex(0.8, -0.3+0.01*float64(i%4))
-			w, _, d := buildUplinkWaveform(t, vanatta.OOK(), payload, 8, 0.02,
-				echo, static, 1e-9, rng, frame.Options{})
+			noise := 1e-9
+			if i%3 == 2 {
+				noise = 6e-7 // ~8 dB below the echo: sync holds, decode may not
+			}
+			w, _, d := buildUplinkWaveform(t, bc.set, payload, bc.sps, 0.02,
+				echo, static, noise, rng, bc.opts)
 			waves[i] = w
 			if dem == nil {
 				dem = d
@@ -61,104 +93,134 @@ func buildBatchWaves(t testing.TB, n int, seed int64) ([][]complex128, *Demodula
 	}
 	if dem == nil {
 		// All-failure batches still need a demodulator.
-		_, _, d := buildUplinkWaveform(t, vanatta.OOK(), []byte("x"), 8, 0.02,
-			complex(0.002, 0), complex(0.8, 0), 1e-9, rng, frame.Options{})
+		_, _, d := buildUplinkWaveform(t, bc.set, []byte("x"), bc.sps, 0.02,
+			complex(0.002, 0), complex(0.8, 0), 1e-9, rng, bc.opts)
 		dem = d
 	}
 	return waves, dem
 }
 
-// DemodulateBatchTo must produce results deep-equal to N serial
-// Demodulate calls, across batch sizes (including the ragged tail sizes
-// a sharded consumer produces) and mixed success/failure lanes.
+// DemodulateBatchTo must produce results deep-equal to the serial
+// oracle lane by lane, across alphabets, coding, oversampling, batch
+// sizes (including the ragged tail sizes a sharded consumer produces)
+// and mixed success/failure lanes.
 func TestDemodulateBatchMatchesSerial(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 64} {
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
-			waves, dem := buildBatchWaves(t, size, int64(1000+size))
-			got := dem.DemodulateBatchTo(nil, packBatch(waves), 8)
-			if len(got) != size {
-				t.Fatalf("got %d results for %d lanes", len(got), size)
-			}
-			okCount := 0
-			for i, w := range waves {
-				want := dem.Demodulate(w, 8)
-				if !reflect.DeepEqual(got[i], *want) {
-					t.Fatalf("lane %d diverges:\nbatch:  %+v\nserial: %+v", i, got[i], *want)
-				}
-				if want.OK() {
-					okCount++
-				}
-			}
-			if size >= 7 && okCount == 0 {
-				t.Fatal("want at least one decodable lane in the batch")
-			}
-			if size >= 7 && okCount == size {
-				t.Fatal("want at least one failing lane in the batch")
+			for _, bc := range batchCases() {
+				t.Run(bc.String(), func(t *testing.T) {
+					checkBatchMatchesSerial(t, size, bc)
+				})
 			}
 		})
 	}
 }
 
-// The batch path must replicate Demodulate's edge cases: bad sps, empty
-// batches, and lanes that never reach the preamble search.
+// checkBatchMatchesSerial runs one size×case cell of
+// TestDemodulateBatchMatchesSerial.
+func checkBatchMatchesSerial(t *testing.T, size int, bc batchCase) {
+	waves, dem := buildBatchWaves(t, size, int64(1000+size), bc)
+	got := dem.DemodulateBatchTo(nil, packBatch(waves), bc.sps)
+	if len(got) != size {
+		t.Fatalf("got %d results for %d lanes", len(got), size)
+	}
+	okCount := 0
+	for i, w := range waves {
+		want := dem.demodulateSerial(w, bc.sps)
+		if !reflect.DeepEqual(got[i], want) {
+			t.Fatalf("lane %d diverges:\nbatch:  %+v\nserial: %+v", i, got[i], want)
+		}
+		if want.OK() {
+			okCount++
+		}
+	}
+	if size >= 7 && okCount == 0 {
+		t.Fatal("want at least one decodable lane in the batch")
+	}
+	if size >= 7 && okCount == size {
+		t.Fatal("want at least one failing lane in the batch")
+	}
+}
+
+// The batch path and the one-waveform Demodulate must replicate the
+// oracle's edge cases: bad sps, empty batches, and lanes that never
+// reach the preamble search or never find the preamble.
 func TestDemodulateBatchEdgeCases(t *testing.T) {
-	waves, dem := buildBatchWaves(t, 3, 77)
+	waves, dem := buildBatchWaves(t, 7, 77, batchCases()[0])
+	if len(waves[4]) < 6000 || len(waves[6]) != 40 {
+		t.Fatal("want a no-preamble lane (4) and a too-short lane (6)")
+	}
 
 	if got := dem.DemodulateBatchTo(nil, dsp.NewBatch(0, 0), 8); len(got) != 0 {
 		t.Fatalf("empty batch: %d results", len(got))
 	}
 
-	got := dem.DemodulateBatchTo(nil, packBatch(waves), 1)
-	for i := range got {
-		want := dem.Demodulate(waves[i], 1)
-		if !reflect.DeepEqual(got[i], *want) {
-			t.Fatalf("sps=1 lane %d: %+v != %+v", i, got[i], *want)
+	for _, sps := range []int{1, 8} {
+		got := dem.DemodulateBatchTo(nil, packBatch(waves), sps)
+		for i, w := range waves {
+			want := dem.demodulateSerial(w, sps)
+			if !reflect.DeepEqual(got[i], want) {
+				t.Fatalf("sps=%d batch lane %d: %+v != %+v", sps, i, got[i], want)
+			}
+			if one := dem.Demodulate(w, sps); !reflect.DeepEqual(one, want) {
+				t.Fatalf("sps=%d Demodulate %d: %+v != %+v", sps, i, one, want)
+			}
 		}
 	}
 
 	// A reused dst slice must be fully overwritten.
-	dst := make([]UplinkResult, 3)
+	dst := make([]UplinkResult, len(waves))
 	dst[0].SyncScore = 99
 	dst[2].Err = fmt.Errorf("stale")
 	dst = dem.DemodulateBatchTo(dst, packBatch(waves), 8)
 	for i := range dst {
-		want := dem.Demodulate(waves[i], 8)
-		if !reflect.DeepEqual(dst[i], *want) {
-			t.Fatalf("reused dst lane %d: %+v != %+v", i, dst[i], *want)
+		want := dem.demodulateSerial(waves[i], 8)
+		if !reflect.DeepEqual(dst[i], want) {
+			t.Fatalf("reused dst lane %d: %+v != %+v", i, dst[i], want)
 		}
 	}
 }
 
-// Steady-state batch passes must not allocate beyond what escapes to
+// Steady-state receive passes must not allocate beyond what escapes to
 // the caller: decoded frames and per-lane error values, both of which
-// the serial path also pays. The guard pins that by comparison — a
-// batch pass must cost at least one allocation per lane LESS than the
-// serial sum (the per-result header the serial path heap-allocates),
-// which leaves exactly zero allocations attributable to the batch
-// kernel itself. The dsp-level batch kernels carry a strict zero-alloc
-// guard in internal/dsp.
+// the serial oracle also pays. The guard pins that by comparison — a
+// batch pass, and the same waveforms through the one-waveform
+// Demodulate, must cost no more allocations than the oracle's sum,
+// which leaves zero allocations attributable to the batch kernel or
+// Demodulate's staging. The dsp-level batch kernels carry a strict
+// zero-alloc guard in internal/dsp.
 func TestDemodulateBatchAllocs(t *testing.T) {
 	const lanes = 8
-	waves, dem := buildBatchWaves(t, lanes, 55)
+	waves, dem := buildBatchWaves(t, lanes, 55, batchCases()[0])
 	batch := packBatch(waves)
 	dst := make([]UplinkResult, lanes)
 	dst = dem.DemodulateBatchTo(dst, batch, 8) // warm pools and plan caches
 	for _, w := range waves {
+		dem.demodulateSerial(w, 8)
 		dem.Demodulate(w, 8)
 	}
 
 	serial := testing.AllocsPerRun(10, func() {
 		for _, w := range waves {
-			dem.Demodulate(w, 8)
+			dem.demodulateSerial(w, 8)
 		}
 	})
 	batched := testing.AllocsPerRun(10, func() {
 		dst = dem.DemodulateBatchTo(dst, batch, 8)
 	})
-	t.Logf("allocs per pass: serial=%v batched=%v", serial, batched)
-	if batched > serial-lanes {
-		t.Fatalf("batch kernel adds allocations: batched=%v, serial=%v, want batched <= serial-%d",
-			batched, serial, lanes)
+	single := testing.AllocsPerRun(10, func() {
+		for _, w := range waves {
+			dem.Demodulate(w, 8)
+		}
+	})
+	t.Logf("allocs per pass: serial=%v batched=%v single=%v", serial, batched, single)
+	if batched > serial {
+		t.Fatalf("batch kernel adds allocations: batched=%v, want <= serial=%v", batched, serial)
+	}
+	// Demodulate borrows three pooled buffers per call, and the race
+	// detector's sync.Pool sheds items at random.
+	if !raceEnabled && single > serial {
+		t.Fatalf("Demodulate adds allocations: single=%v, want <= serial=%v", single, serial)
 	}
 }
 
@@ -180,7 +242,7 @@ func BenchmarkDemodulateBatchOOK(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				for _, w := range waves {
-					if res := dem.Demodulate(w, 8); !res.OK() {
+					if res := dem.demodulateSerial(w, 8); !res.OK() {
 						b.Fatal(res.Err)
 					}
 				}

@@ -177,86 +177,6 @@ func integrateAndDumpTo(dst, x []complex128, sps int) []complex128 {
 	return out
 }
 
-// Demodulate runs the full uplink pipeline on an oversampled baseband
-// waveform: symbol integration, preamble search (over symbol-timing
-// offsets), joint gain/offset estimation, equalization, slicing, and
-// frame decode. sps is the receiver's samples per symbol.
-func (d *Demodulator) Demodulate(rx []complex128, sps int) *UplinkResult {
-	res := &UplinkResult{SyncSymbol: -1}
-	start := d.m.now()
-	defer func() { d.m.observeResult(res, start) }()
-	if sps < 2 || len(rx) < sps*(len(d.preambleBits)+8) {
-		res.Err = fmt.Errorf("ap: waveform too short for demodulation")
-		return res
-	}
-	// Per-call scratch: two symbol buffers ping-pong between "current
-	// alignment" and "best so far", and every downstream stage borrows
-	// from the same arena, so a steady-state pass allocates nothing.
-	ar := dsp.GetArena()
-	maxSyms := len(rx) / sps
-	bufA, bufB := ar.Complex(maxSyms), ar.Complex(maxSyms)
-	defer func() {
-		ar.PutComplex(bufA)
-		ar.PutComplex(bufB)
-		dsp.PutArena(ar)
-	}()
-	// Try every sub-symbol alignment; keep the best preamble correlation.
-	bestLag, bestScore := -1, 0.0
-	var bestSyms []complex128
-	scratch, kept := bufA, bufB
-	for off := 0; off < sps; off++ {
-		syms := integrateAndDumpTo(scratch, rx[off:], sps)
-		if len(syms) < len(d.centredPre)+1 {
-			continue
-		}
-		lag, score := offsetImmunePeak(syms, d.preKern, ar)
-		if score > bestScore {
-			bestLag, bestScore = lag, score
-			bestSyms = syms
-			scratch, kept = kept, scratch
-		}
-	}
-	_ = kept
-	d.m.observeStage("sync", start)
-	res.SyncScore = bestScore
-	if bestLag < 0 || bestScore < 0.5 {
-		res.Err = fmt.Errorf("ap: preamble not found (best score %.2f)", bestScore)
-		return res
-	}
-	res.SyncSymbol = bestLag
-
-	// Joint least-squares estimate of (gain a, offset b) from the known
-	// preamble: rx = a*p + b.
-	eqStart := d.m.now()
-	pre := bestSyms[bestLag : bestLag+len(d.preamblePts)]
-	a, b, err := fitGainOffset(pre, d.preamblePts)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Gain, res.Offset = a, b
-
-	// Equalize everything after the preamble and slice.
-	data := bestSyms[bestLag+len(d.preamblePts):]
-	eq := ar.Complex(len(data))
-	inv := complex(1, 0) / a
-	for i, v := range data {
-		eq[i] = (v - b) * inv
-	}
-	res.EVM = d.constellation.EVM(eq)
-	d.m.observeStage("equalize", eqStart)
-	decStart := d.m.now()
-	f, err := d.decide(eq, ar)
-	ar.PutComplex(eq)
-	d.m.observeStage("fec-decode", decStart)
-	if err != nil {
-		res.Err = err
-		return res
-	}
-	res.Frame = f
-	return res
-}
-
 // decide turns equalized symbols into a frame. For coded frames on a
 // binary alphabet it extracts per-bit soft levels (the projection onto
 // the axis between the two states) and decodes through the soft Viterbi
@@ -281,6 +201,12 @@ func (d *Demodulator) decide(eq []complex128, ar *dsp.Arena) (*frame.Frame, erro
 			}
 		}
 	}
+	return d.decideHard(eq, ar)
+}
+
+// decideHard slices equalized symbols to alphabet indices, unmaps them
+// to bits and decodes the frame from those hard decisions.
+func (d *Demodulator) decideHard(eq []complex128, ar *dsp.Arena) (*frame.Frame, error) {
 	symIdx := d.constellation.Slice(ar.Ints(len(eq))[:0], eq)
 	bits := d.constellation.UnmapBits(ar.Bytes(len(symIdx) * d.constellation.BitsPerSymbol())[:0], symIdx)
 	f, _, err := frame.DecodeBits(bits, d.opts)
@@ -296,10 +222,10 @@ func (d *Demodulator) decide(eq []complex128, ar *dsp.Arena) (*frame.Frame, erro
 // slices the equalized symbols. On a flat channel it converges to the
 // one-tap receiver; on an ISI channel it recovers frames the plain
 // pipeline loses.
-func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps int) *UplinkResult {
-	res := &UplinkResult{SyncSymbol: -1}
+func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps int) UplinkResult {
+	res := UplinkResult{SyncSymbol: -1}
 	start := d.m.now()
-	defer func() { d.m.observeResult(res, start) }()
+	defer func() { d.m.observeResult(&res, start) }()
 	if maxChannelTaps < 1 {
 		res.Err = fmt.Errorf("ap: maxChannelTaps must be >= 1")
 		return res
@@ -382,11 +308,7 @@ func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps i
 	res.EVM = d.constellation.EVM(data)
 	d.m.observeStage("equalize", eqStart)
 	decStart := d.m.now()
-	symIdx := d.constellation.Slice(ar.Ints(len(data))[:0], data)
-	bits := d.constellation.UnmapBits(ar.Bytes(len(symIdx) * d.constellation.BitsPerSymbol())[:0], symIdx)
-	f, _, err := frame.DecodeBits(bits, d.opts)
-	ar.PutBytes(bits)
-	ar.PutInts(symIdx)
+	f, err := d.decideHard(data, ar)
 	ar.PutComplex(eq)
 	ar.PutComplex(stream)
 	d.m.observeStage("fec-decode", decStart)

@@ -185,7 +185,7 @@ func e9Cancellation(x Exec, tb *Testbed, seed int64) (*Table, error) {
 			}
 		}
 		quant := apx.QuantizeTo(wave, wave, peak)
-		res := dem.DemodulateWaveform(quant, 8)
+		res := dem.Demodulate(quant, 8)
 
 		return []row{{cancelDB, rfmath.DBm(residualW), rfmath.DB(echoW / residualW),
 			res.SyncScore, res.EVM, fmt.Sprintf("%v", res.OK())}}, nil
@@ -243,7 +243,7 @@ func e11SwitchLimit(x Exec, tb *Testbed, seed int64) ([]*Table, error) {
 			wave[i] = wave[i]*0.01 + complex(0.7, 0.2)
 		}
 		channel.AWGN(rng, wave, 1e-8)
-		res := dem.DemodulateWaveform(wave, 8)
+		res := dem.Demodulate(wave, 8)
 		return []row{{rateMHz, mod.SettledFraction(), res.EVM, fmt.Sprintf("%v", res.OK())}}, nil
 	})
 	if err != nil {

@@ -50,20 +50,13 @@ func ConvEncode(dst, data []byte) []byte {
 // returns the data bits. The traceback assumes the encoder's zero
 // flush, so the returned length is len(code)/2 - 6.
 func ViterbiDecode(code []byte) ([]byte, error) {
-	if len(code)%2 != 0 {
-		return nil, fmt.Errorf("fec: coded length must be even, got %d", len(code))
-	}
-	nSteps := len(code) / 2
-	if nSteps < convK-1 {
-		return nil, fmt.Errorf("fec: coded stream too short (%d symbol pairs)", nSteps)
-	}
 	soft := make([]float64, len(code))
 	for i, b := range code {
 		if b != 0 {
 			soft[i] = 1
 		}
 	}
-	return viterbi(soft, nSteps)
+	return viterbi(soft)
 }
 
 // ViterbiDecodeSoft decodes soft-decision metrics: llr[i] in [0, 1] is
@@ -71,6 +64,14 @@ func ViterbiDecode(code []byte) ([]byte, error) {
 // 1 = strong 1). Euclidean branch metrics give the standard ~2 dB gain
 // over hard decisions.
 func ViterbiDecodeSoft(level []float64) ([]byte, error) {
+	return viterbi(level)
+}
+
+// viterbi checks that the coded stream is even and at least the
+// encoder's zero-flush tail long, then runs the add-compare-select
+// recursion over its symbol pairs with Euclidean metrics against
+// expected bits {0,1}.
+func viterbi(level []float64) ([]byte, error) {
 	if len(level)%2 != 0 {
 		return nil, fmt.Errorf("fec: coded length must be even, got %d", len(level))
 	}
@@ -78,12 +79,6 @@ func ViterbiDecodeSoft(level []float64) ([]byte, error) {
 	if nSteps < convK-1 {
 		return nil, fmt.Errorf("fec: coded stream too short (%d symbol pairs)", nSteps)
 	}
-	return viterbi(level, nSteps)
-}
-
-// viterbi runs the add-compare-select recursion over nSteps symbol
-// pairs with Euclidean metrics against expected bits {0,1}.
-func viterbi(level []float64, nSteps int) ([]byte, error) {
 	const inf = math.MaxFloat64 / 4
 	metric := make([]float64, numStates)
 	next := make([]float64, numStates)

@@ -40,33 +40,25 @@ func (b *BlockInterleaver) Interleave(dst, data []byte) ([]byte, error) {
 
 // Deinterleave inverts Interleave.
 func (b *BlockInterleaver) Deinterleave(dst, data []byte) ([]byte, error) {
-	n := b.BlockSize()
-	if len(data)%n != 0 {
-		return nil, fmt.Errorf("fec: data length %d not a multiple of block size %d", len(data), n)
-	}
-	for blk := 0; blk < len(data); blk += n {
-		out := make([]byte, n)
-		i := 0
-		for c := 0; c < b.cols; c++ {
-			for r := 0; r < b.rows; r++ {
-				out[r*b.cols+c] = data[blk+i]
-				i++
-			}
-		}
-		dst = append(dst, out...)
-	}
-	return dst, nil
+	return deinterleave(b, dst, data)
 }
 
 // DeinterleaveSoft inverts Interleave for soft-decision levels, so a
 // receiver can carry per-bit confidence through to the Viterbi decoder.
 func (b *BlockInterleaver) DeinterleaveSoft(dst, data []float64) ([]float64, error) {
+	return deinterleave(b, dst, data)
+}
+
+// deinterleave is the one body behind Deinterleave and
+// DeinterleaveSoft: data, whose length must be a multiple of
+// BlockSize, is read back row-wise, appending to dst.
+func deinterleave[T byte | float64](b *BlockInterleaver, dst, data []T) ([]T, error) {
 	n := b.BlockSize()
 	if len(data)%n != 0 {
 		return nil, fmt.Errorf("fec: data length %d not a multiple of block size %d", len(data), n)
 	}
 	for blk := 0; blk < len(data); blk += n {
-		out := make([]float64, n)
+		out := make([]T, n)
 		i := 0
 		for c := 0; c < b.cols; c++ {
 			for r := 0; r < b.rows; r++ {

@@ -52,6 +52,9 @@ const MaxPayload = 4095
 // + 2 reserved = 32 bits (Hamming-coded to 56 on air).
 const headerBits = 32
 
+// codedHeaderBits is the on-air header size after Hamming(7,4).
+const codedHeaderBits = headerBits / 4 * 7
+
 // Options configures encoding.
 type Options struct {
 	// Coded enables the rate-1/2 convolutional code + interleaver over
@@ -174,21 +177,25 @@ func bodyInterleaver() *fec.BlockInterleaver {
 // codedBodyBits returns the on-air body length in bits for a payload of
 // n bytes under opts.
 func codedBodyBits(n int, opts Options) int {
-	raw := (n + 2) * 8 // payload + CRC16
 	if !opts.Coded {
-		return raw
+		return (n + 2) * 8 // payload + CRC16
 	}
-	coded := 2 * (raw + fec.ConvTailBits())
+	coded := convBodyBits(n)
 	block := bodyInterleaver().BlockSize()
 	pad := (block - coded%block) % block
 	return coded + pad
 }
 
+// convBodyBits returns the convolutional encoder's output length for a
+// payload of n bytes: the coded body before interleaver padding.
+func convBodyBits(n int) int {
+	return 2 * ((n+2)*8 + fec.ConvTailBits())
+}
+
 // AirBits returns the total number of bits EncodeBits will produce for a
 // payload of n bytes.
 func AirBits(n int, opts Options) int {
-	const codedHeader = headerBits / 4 * 7 // 56-bit coded header
-	return codedHeader + codedBodyBits(n, opts)
+	return codedHeaderBits + codedBodyBits(n, opts)
 }
 
 // DecodeBits parses a frame from air bits. The bit slice must begin at
@@ -196,79 +203,26 @@ func AirBits(n int, opts Options) int {
 // least the whole frame; trailing bits are ignored. It returns the
 // decoded frame and the number of bits consumed.
 func DecodeBits(bits []byte, opts Options) (*Frame, int, error) {
-	const codedHeader = headerBits / 4 * 7
-	if len(bits) < codedHeader {
+	if len(bits) < codedHeaderBits {
 		return nil, 0, ErrTruncated
 	}
-	hdr, _, err := fec.HammingDecode(nil, bits[:codedHeader])
+	f, payLen, total, err := decodeHeader(bits[:codedHeaderBits], len(bits), opts)
 	if err != nil {
 		return nil, 0, err
 	}
-	get := func(off, n int) uint {
-		v := uint(0)
-		for i := 0; i < n; i++ {
-			v = v<<1 | uint(hdr[off+i])
-		}
-		return v
-	}
-	f := &Frame{
-		Type:  Type(get(0, 2)),
-		TagID: uint8(get(2, 8)),
-		Seq:   uint8(get(10, 8)),
-	}
-	payLen := int(get(18, 12))
-	reserved := get(30, 2)
-	if reserved != 0 {
-		// The reserved bits double as a weak header checksum: Hamming
-		// corrects single errors, so surviving damage shows up here.
-		return nil, 0, ErrHeaderCRC
-	}
-
-	bodyLen := codedBodyBits(payLen, opts)
-	total := codedHeader + bodyLen
-	if len(bits) < total {
-		return nil, 0, ErrTruncated
-	}
-	body := bits[codedHeader:total]
-
+	body := bits[codedHeaderBits:total]
 	if opts.Coded {
-		il := bodyInterleaver()
-		deinter, err := il.Deinterleave(nil, body)
+		deinter, err := bodyInterleaver().Deinterleave(nil, body)
 		if err != nil {
 			return nil, 0, err
 		}
-		// Strip the interleaver padding before Viterbi: the true coded
-		// stream length is 2*(raw + tail).
-		raw := (payLen + 2) * 8
-		codedLen := 2 * (raw + fec.ConvTailBits())
-		decoded, err := fec.ViterbiDecode(deinter[:codedLen])
+		// Strip the interleaver padding before Viterbi.
+		body, err = fec.ViterbiDecode(deinter[:convBodyBits(payLen)])
 		if err != nil {
 			return nil, 0, err
 		}
-		body = decoded
 	}
-
-	// Descramble.
-	scr, err := fec.NewScrambler(opts.seed())
-	if err != nil {
-		return nil, 0, err
-	}
-	body = scr.Apply(nil, body)
-
-	raw, err := bitsToBytes(body)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(raw) < payLen+2 {
-		return nil, 0, ErrTruncated
-	}
-	payload := raw[:payLen]
-	gotCRC := uint16(raw[payLen])<<8 | uint16(raw[payLen+1])
-	if gotCRC != fec.CRC16(payload) {
-		return nil, 0, ErrPayloadCRC
-	}
-	f.Payload = append([]byte{}, payload...)
-	return f, total, nil
+	return decodeBody(f, body, payLen, total, opts)
 }
 
 // DecodeBitsSoft parses a coded frame from per-bit soft levels (0 =
@@ -281,20 +235,38 @@ func DecodeBitsSoft(levels []float64, opts Options) (*Frame, int, error) {
 	if !opts.Coded {
 		return nil, 0, fmt.Errorf("frame: soft decoding requires the coded mode")
 	}
-	// Hard-threshold everything once for the header fields.
-	hard := make([]byte, len(levels))
-	for i, v := range levels {
+	if len(levels) < codedHeaderBits {
+		return nil, 0, ErrTruncated
+	}
+	var hard [codedHeaderBits]byte
+	for i, v := range levels[:codedHeaderBits] {
 		if v > 0.5 {
 			hard[i] = 1
 		}
 	}
-	const codedHeader = headerBits / 4 * 7
-	if len(levels) < codedHeader {
-		return nil, 0, ErrTruncated
-	}
-	hdr, _, err := fec.HammingDecode(nil, hard[:codedHeader])
+	f, payLen, total, err := decodeHeader(hard[:], len(levels), opts)
 	if err != nil {
 		return nil, 0, err
+	}
+	deinter, err := bodyInterleaver().DeinterleaveSoft(nil, levels[codedHeaderBits:total])
+	if err != nil {
+		return nil, 0, err
+	}
+	body, err := fec.ViterbiDecodeSoft(deinter[:convBodyBits(payLen)])
+	if err != nil {
+		return nil, 0, err
+	}
+	return decodeBody(f, body, payLen, total, opts)
+}
+
+// decodeHeader Hamming-decodes the coded header bits and parses the
+// header fields. avail is the number of air bits the caller holds; the
+// frame's total air length must fit in it. It returns the frame (no
+// payload yet), the payload length in bytes and the total air length.
+func decodeHeader(coded []byte, avail int, opts Options) (*Frame, int, int, error) {
+	hdr, _, err := fec.HammingDecode(nil, coded)
+	if err != nil {
+		return nil, 0, 0, err
 	}
 	get := func(off, n int) uint {
 		v := uint(0)
@@ -310,38 +282,33 @@ func DecodeBitsSoft(levels []float64, opts Options) (*Frame, int, error) {
 	}
 	payLen := int(get(18, 12))
 	if get(30, 2) != 0 {
-		return nil, 0, ErrHeaderCRC
+		// The reserved bits double as a weak header checksum: Hamming
+		// corrects single errors, so surviving damage shows up here.
+		return nil, 0, 0, ErrHeaderCRC
 	}
-	bodyLen := codedBodyBits(payLen, opts)
-	total := codedHeader + bodyLen
-	if len(levels) < total {
-		return nil, 0, ErrTruncated
+	total := codedHeaderBits + codedBodyBits(payLen, opts)
+	if avail < total {
+		return nil, 0, 0, ErrTruncated
 	}
-	il := bodyInterleaver()
-	deinter, err := il.DeinterleaveSoft(nil, levels[codedHeader:total])
-	if err != nil {
-		return nil, 0, err
-	}
-	raw := (payLen + 2) * 8
-	codedLen := 2 * (raw + fec.ConvTailBits())
-	decoded, err := fec.ViterbiDecodeSoft(deinter[:codedLen])
-	if err != nil {
-		return nil, 0, err
-	}
+	return f, payLen, total, nil
+}
+
+// decodeBody finishes f from its decoded body bits: descramble, pack
+// into bytes, check the CRC16 and copy the payload out.
+func decodeBody(f *Frame, body []byte, payLen, total int, opts Options) (*Frame, int, error) {
 	scr, err := fec.NewScrambler(opts.seed())
 	if err != nil {
 		return nil, 0, err
 	}
-	body := scr.Apply(nil, decoded)
-	rawBytes, err := bitsToBytes(body)
+	raw, err := bitsToBytes(scr.Apply(nil, body))
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(rawBytes) < payLen+2 {
+	if len(raw) < payLen+2 {
 		return nil, 0, ErrTruncated
 	}
-	payload := rawBytes[:payLen]
-	gotCRC := uint16(rawBytes[payLen])<<8 | uint16(rawBytes[payLen+1])
+	payload := raw[:payLen]
+	gotCRC := uint16(raw[payLen])<<8 | uint16(raw[payLen+1])
 	if gotCRC != fec.CRC16(payload) {
 		return nil, 0, ErrPayloadCRC
 	}

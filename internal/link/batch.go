@@ -11,20 +11,19 @@ import (
 	"mmtag/internal/mac"
 )
 
-// This file is the batched tier-a frame path: callers stage any number
-// of frame trials (all randomness is drawn at stage time, in stage
-// order, so a stage-then-flush sequence consumes every RNG stream
-// exactly as the serial FrameSuccess loop would) and then flush the
-// accumulated waveforms through ap.Demodulator.DemodulateBatchTo — one
-// plan walk and one preamble spectrum per FFT size for the whole
-// batch, instead of one per frame. Results are bit-identical to
-// calling FrameSuccess per trial.
+// This file is the tier-a frame path: callers stage any number of
+// frame trials (all randomness is drawn at stage time, in stage order,
+// so a stage-then-flush sequence consumes every RNG stream exactly as
+// one FrameSuccess call per trial would) and then flush the accumulated
+// waveforms through ap.Demodulator.DemodulateBatchTo — one plan walk
+// and one preamble spectrum per FFT size for the whole batch, instead
+// of one per frame. FrameSuccess itself is a one-trial stage and flush.
 //
 // DESIGN.md: section 11 (batched demodulation).
 
 // stagedTrial records what FlushFrames needs to finish one staged
 // frame: which demodulator to use, or the already-decided outcome for
-// trials the serial path would never demodulate (invalid SNR).
+// trials that are never demodulated (invalid SNR).
 type stagedTrial struct {
 	mod     string
 	coded   bool
@@ -55,8 +54,8 @@ func (b *FrameBatch) Reset() {
 // across trials: stage per-trial waveforms (randomness per trial, at
 // stage time), then flush the DSP in one batched pass. The contract
 // mirrors FrameSuccess trial for trial: flushing N staged trials
-// yields exactly the N outcomes the serial calls would, from the same
-// RNG draws.
+// yields exactly the N outcomes N FrameSuccess calls would, from the
+// same RNG draws.
 type BatchEngine interface {
 	Engine
 	// StageFrame generates (but does not demodulate) one frame trial
@@ -76,7 +75,7 @@ var _ BatchEngine = (*Waveform)(nil)
 // FlushFrames.
 func (w *Waveform) StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) error {
 	if math.IsNaN(snr) || snr <= 0 {
-		// The serial path returns false without touching rng; keep a
+		// An invalid operating point fails without touching rng; keep a
 		// placeholder lane so trial i is always lane i.
 		b.rx.AddLane()
 		b.trials = append(b.trials, stagedTrial{decided: true})
@@ -112,6 +111,8 @@ func (w *Waveform) StageFrame(b *FrameBatch, r mac.Rate, snr float64, payloadByt
 	}
 	l := b.rx.AddLane()
 	wave := m.Waveform(b.rx.LaneCap(l)[:0], syms)
+	// snr is Es/N0 (noise bandwidth = symbol rate); the demodulator's
+	// integrate-and-dump divides per-sample noise power by sps.
 	es := c.MeanPower()
 	channel.AWGN(rng, wave, es/snr*waveformSPS)
 	b.rx.SetLaneLen(l, len(wave))
@@ -172,27 +173,4 @@ func (w *Waveform) FlushFrames(b *FrameBatch, dst []bool) ([]bool, error) {
 	}
 	b.Reset()
 	return dst, nil
-}
-
-// FrameTrial is one deferred FrameSuccess call for FrameSuccessBatch.
-type FrameTrial struct {
-	Rate         mac.Rate
-	SNR          float64
-	PayloadBytes int
-	Rng          fastrand.RNG
-}
-
-// FrameSuccessBatch stages and flushes trials in one call, appending
-// one success flag per trial to ok. It is exactly
-// FrameSuccess(trials[i]...) for every i — same RNG consumption, same
-// outcomes — with the receive DSP batched.
-func (w *Waveform) FrameSuccessBatch(trials []FrameTrial, ok []bool) ([]bool, error) {
-	b := &w.stage
-	b.Reset()
-	for _, tr := range trials {
-		if err := w.StageFrame(b, tr.Rate, tr.SNR, tr.PayloadBytes, tr.Rng); err != nil {
-			return ok, err
-		}
-	}
-	return w.FlushFrames(b, ok)
 }

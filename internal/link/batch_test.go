@@ -1,10 +1,12 @@
 package link
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
+	"mmtag/internal/fastrand"
 	"mmtag/internal/mac"
 )
 
@@ -32,82 +34,80 @@ func mixedTrialSpecs() []batchTrialSpec {
 	}
 }
 
-// TestFrameSuccessBatchMatchesSerial checks the batched frame path
-// trial for trial against serial FrameSuccess: same outcomes and the
-// same RNG consumption, across mixed modulations, coded and uncoded
-// rates, and invalid SNRs, at several batch sizes.
-func TestFrameSuccessBatchMatchesSerial(t *testing.T) {
-	specs := mixedTrialSpecs()
-	for _, n := range []int{1, 2, 7, len(specs) * 8} {
-		serialEng := NewWaveform()
-		batchEng := NewWaveform()
-		serialRng := rand.New(rand.NewSource(42))
-		batchRng := rand.New(rand.NewSource(42))
-
-		trials := make([]FrameTrial, n)
-		want := make([]bool, n)
-		for i := 0; i < n; i++ {
-			sp := specs[i%len(specs)]
-			got, err := serialEng.FrameSuccess(sp.rate, sp.snr, sp.payload, serialRng)
-			if err != nil {
-				t.Fatalf("n=%d serial trial %d: %v", n, i, err)
-			}
-			want[i] = got
-			trials[i] = FrameTrial{Rate: sp.rate, SNR: sp.snr, PayloadBytes: sp.payload, Rng: batchRng}
+// stageAndFlush stages every spec as one trial on a fresh FrameBatch,
+// drawing from rng in stage order, then flushes them all at once.
+func stageAndFlush(t *testing.T, w *Waveform, specs []batchTrialSpec, rng fastrand.RNG) []bool {
+	t.Helper()
+	var b FrameBatch
+	for i, sp := range specs {
+		if err := w.StageFrame(&b, sp.rate, sp.snr, sp.payload, rng); err != nil {
+			t.Fatalf("stage trial %d: %v", i, err)
 		}
+	}
+	got, err := w.FlushFrames(&b, nil)
+	if err != nil {
+		t.Fatalf("flush: %v", err)
+	}
+	if len(got) != len(specs) {
+		t.Fatalf("got %d outcomes for %d trials", len(got), len(specs))
+	}
+	return got
+}
 
-		got, err := batchEng.FrameSuccessBatch(trials, nil)
+// checkOneFlushMatchesSingles holds N trials in one flush to N
+// one-trial FrameSuccess calls: the same outcomes and the same RNG
+// consumption, trial for trial.
+func checkOneFlushMatchesSingles(t *testing.T, specs []batchTrialSpec, seed int64) {
+	t.Helper()
+	singleEng, batchEng := NewWaveform(), NewWaveform()
+	singleRng := rand.New(rand.NewSource(seed))
+	batchRng := rand.New(rand.NewSource(seed))
+	want := make([]bool, len(specs))
+	for i, sp := range specs {
+		got, err := singleEng.FrameSuccess(sp.rate, sp.snr, sp.payload, singleRng)
 		if err != nil {
-			t.Fatalf("n=%d batch: %v", n, err)
+			t.Fatalf("single trial %d: %v", i, err)
 		}
-		if len(got) != n {
-			t.Fatalf("n=%d: got %d outcomes", n, len(got))
+		want[i] = got
+	}
+	got := stageAndFlush(t, batchEng, specs, batchRng)
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("trial %d: one flush=%v single=%v", i, got[i], want[i])
 		}
-		for i := range got {
-			if got[i] != want[i] {
-				t.Errorf("n=%d trial %d: batch=%v serial=%v", n, i, got[i], want[i])
-			}
-		}
-		// Both rngs must have advanced identically: the next draws match.
-		if a, b := serialRng.Int63(), batchRng.Int63(); a != b {
-			t.Errorf("n=%d: rng streams diverged after trials (%d vs %d)", n, a, b)
-		}
+	}
+	// Both rngs must have advanced identically: the next draws match.
+	if a, b := singleRng.Int63(), batchRng.Int63(); a != b {
+		t.Errorf("rng streams diverged after trials (%d vs %d)", a, b)
 	}
 }
 
-// TestFrameSuccessBatchHomogeneous exercises the no-gather fast path:
-// every trial the same demodulator, including a deep-fade failure.
-func TestFrameSuccessBatchHomogeneous(t *testing.T) {
+// TestFrameSuccessOneFlushMatchesSingles checks a multi-trial flush
+// against one-trial FrameSuccess calls across mixed modulations, coded
+// and uncoded rates, and invalid SNRs, at several batch sizes — the
+// gathered (one group per demodulator) flush path.
+func TestFrameSuccessOneFlushMatchesSingles(t *testing.T) {
+	specs := mixedTrialSpecs()
+	for _, n := range []int{1, 2, 7, len(specs) * 8} {
+		trials := make([]batchTrialSpec, n)
+		for i := range trials {
+			trials[i] = specs[i%len(specs)]
+		}
+		t.Run(fmt.Sprintf("n-%d", n), func(t *testing.T) {
+			checkOneFlushMatchesSingles(t, trials, 42)
+		})
+	}
+}
+
+// TestFrameSuccessOneFlushHomogeneous exercises the no-gather flush
+// path: every trial the same demodulator, including deep-fade failures.
+func TestFrameSuccessOneFlushHomogeneous(t *testing.T) {
 	r := mac.Rate{Mod: mac.ModQPSK(), BitRate: 20e6}
-	snrs := []float64{300, 0.01, 120, 90, 250, 0.02, 70}
-
-	serialEng := NewWaveform()
-	batchEng := NewWaveform()
-	serialRng := rand.New(rand.NewSource(7))
-	batchRng := rand.New(rand.NewSource(7))
-
-	var trials []FrameTrial
-	var want []bool
-	for i, snr := range snrs {
-		got, err := serialEng.FrameSuccess(r, snr, 10, serialRng)
-		if err != nil {
-			t.Fatalf("serial trial %d: %v", i, err)
-		}
-		want = append(want, got)
-		trials = append(trials, FrameTrial{Rate: r, SNR: snr, PayloadBytes: 10, Rng: batchRng})
+	var specs []batchTrialSpec
+	for _, snr := range []float64{300, 0.01, 120, 90, 250, 0.02, 70} {
+		specs = append(specs, batchTrialSpec{r, snr, 10})
 	}
-	got, err := batchEng.FrameSuccessBatch(trials, nil)
-	if err != nil {
-		t.Fatalf("batch: %v", err)
-	}
-	for i := range got {
-		if got[i] != want[i] {
-			t.Errorf("trial %d: batch=%v serial=%v", i, got[i], want[i])
-		}
-	}
-	if a, b := serialRng.Int63(), batchRng.Int63(); a != b {
-		t.Errorf("rng streams diverged (%d vs %d)", a, b)
-	}
+	checkOneFlushMatchesSingles(t, specs, 7)
 }
 
 // TestStageFrameErrors checks stage-time validation.

@@ -45,7 +45,7 @@ type Waveform struct {
 	syms   []int        // scratch symbol buffer
 
 	// Batched frame-path scratch (StageFrame/FlushFrames, batch.go).
-	stage    FrameBatch        // FrameSuccessBatch's staging area
+	stage    FrameBatch        // FrameSuccess's one-trial staging area
 	flushIdx []int             // trial indices of the group being flushed
 	flushRx  dsp.Batch         // gathered lanes of that group
 	flushRes []ap.UplinkResult // its batched demodulation results
@@ -185,42 +185,16 @@ func (w *Waveform) MeasureBER(mod mac.Modulation, ebn0 float64, nBits int, rng f
 // sync preamble, modulated, perturbed at the SNR operating point, and
 // handed to the AP demodulator; success is a CRC-clean decode. Unlike
 // the cheaper tiers this pays sync and channel-estimation losses, which
-// is exactly why strong links deserve it.
+// is exactly why strong links deserve it. It is one StageFrame and one
+// FlushFrames on the engine's own staging batch, so a lone trial and a
+// batched one run the same code.
 func (w *Waveform) FrameSuccess(r mac.Rate, snr float64, payloadBytes int, rng fastrand.RNG) (bool, error) {
-	if math.IsNaN(snr) || snr <= 0 {
-		return false, nil
-	}
-	if payloadBytes < 0 {
-		return false, fmt.Errorf("link: payload bytes must be >= 0, got %d", payloadBytes)
-	}
-	c, err := w.constellation(r.Mod.Name)
-	if err != nil {
+	b := &w.stage
+	b.Reset()
+	if err := w.StageFrame(b, r, snr, payloadBytes, rng); err != nil {
 		return false, err
 	}
-	dem, err := w.demodulator(r.Mod.Name, r.Coded)
-	if err != nil {
-		return false, err
-	}
-	m, err := w.modulator(r.Mod.Name)
-	if err != nil {
-		return false, err
-	}
-	payload := make([]byte, payloadBytes)
-	rng.Read(payload)
-	f := &frame.Frame{Type: frame.TypeData, TagID: 1, Payload: payload}
-	bits, err := f.EncodeBits(frame.Options{Coded: r.Coded})
-	if err != nil {
-		return false, err
-	}
-	syms := append(w.syms[:0], dem.PreambleSymbolIndices()...)
-	syms = c.MapBits(syms, bits)
-	w.syms = syms
-	wave := m.Waveform(w.wave[:0], syms)
-	w.wave = wave
-	// snr is Es/N0 (noise bandwidth = symbol rate); the demodulator's
-	// integrate-and-dump divides per-sample noise power by sps.
-	es := c.MeanPower()
-	channel.AWGN(rng, wave, es/snr*waveformSPS)
-	res := dem.Demodulate(wave, waveformSPS)
-	return res.OK(), nil
+	var ok [1]bool
+	out, err := w.FlushFrames(b, ok[:0])
+	return out[0], err
 }

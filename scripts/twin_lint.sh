@@ -1,9 +1,10 @@
 #!/bin/sh
 # twin_lint.sh — fail when a root-module package declares a non-test
-# func X beside a func XTo, XWith, XKern or XFast. Such pairs are a
-# kernel with two entry points: an allocating or defaulting wrapper
-# that forwards to its in-place or parameterized twin, or a plain and a
-# devirtualized copy of one computation. Each kernel keeps one entry
+# func X beside a func XTo, XWith, XKern, XFast or XBatch. Such pairs
+# are a kernel with two entry points: an allocating or defaulting
+# wrapper that forwards to its in-place or parameterized twin, a plain
+# and a devirtualized copy of one computation, or a one-item and a
+# many-item path where one should be the other at size one. Each kernel keeps one entry
 # point (XTo(dst, ...) with nil for a fresh slice; a kernel with a
 # faster body for one argument type picks it inside), so a new pair is
 # either a wrapper to delete or a name to change. Methods count by name
@@ -30,7 +31,7 @@ pairs=$(
 			awk -v pkg="${pkg:-.}" '
 				{ have[$1] = 1; names[NR] = $1 }
 				END {
-					n = split("To With Kern Fast", sfx, " ")
+					n = split("To With Kern Fast Batch", sfx, " ")
 					for (i = 1; i <= NR; i++)
 						for (j = 1; j <= n; j++)
 							if ((names[i] sfx[j]) in have)
