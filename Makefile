@@ -104,3 +104,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/mmtag-trace/
 	$(GO) test -run xxx -fuzz FuzzTierSelection -fuzztime 10s ./internal/link/
 	$(GO) test -run xxx -fuzz FuzzLinkBudgetOutcome -fuzztime 10s ./internal/link/
+	$(GO) test -run xxx -fuzz FuzzOffsetImmunePeak -fuzztime 10s ./internal/dsp/

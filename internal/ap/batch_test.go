@@ -2,6 +2,7 @@ package ap
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -100,26 +101,69 @@ func buildBatchWaves(t testing.TB, n int, seed int64, bc batchCase) ([][]complex
 	return waves, dem
 }
 
+// buildLateWaves builds n waveforms on which the preamble search's
+// winner comes late: up to 40 extra idle symbols ahead of the frame
+// (the peak is not lag 0), a sub-symbol timing offset (the best
+// alignment is not lane 0), a static echo 250× the tag's, and every
+// third lane at an SNR low enough that most lags survive the bound.
+func buildLateWaves(t testing.TB, n int, seed int64, bc batchCase) ([][]complex128, *Demodulator) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var dem *Demodulator
+	waves := make([][]complex128, n)
+	for i := range waves {
+		payload := make([]byte, 8+(i*7)%24)
+		rng.Read(payload)
+		noise := 1e-9
+		if i%3 == 2 {
+			noise = 5e-6 * float64(bc.sps) // about 0 dB per symbol: sync marginal, decode unlikely
+		}
+		w, _, d := buildUplinkWaveform(t, bc.set, payload, bc.sps, 0.02,
+			complex(0.002, -0.001), complex(0.5, 0.2), noise, rng, bc.opts)
+		if dem == nil {
+			dem = d
+		}
+		lead := (rng.Intn(41) + 1) * bc.sps
+		w = append(make([]complex128, lead, lead+len(w)), w...)
+		for k := 0; k < lead; k++ {
+			sd := math.Sqrt(noise / 2)
+			w[k] = complex(0.5+rng.NormFloat64()*sd, 0.2+rng.NormFloat64()*sd)
+		}
+		waves[i] = w[1+rng.Intn(bc.sps-1):] // sub-symbol timing offset
+	}
+	return waves, dem
+}
+
 // DemodulateBatchTo must produce results deep-equal to the serial
 // oracle lane by lane, across alphabets, coding, oversampling, batch
-// sizes (including the ragged tail sizes a sharded consumer produces)
-// and mixed success/failure lanes.
+// sizes (including the ragged tail sizes a sharded consumer produces),
+// mixed success/failure lanes, and lanes whose preamble peak comes late
+// in a later alignment, so the kernel's early-abandoning search is
+// checked where a later, better lag must beat an earlier one.
 func TestDemodulateBatchMatchesSerial(t *testing.T) {
 	for _, size := range []int{1, 2, 7, 64} {
 		t.Run(fmt.Sprintf("size-%d", size), func(t *testing.T) {
 			for _, bc := range batchCases() {
 				t.Run(bc.String(), func(t *testing.T) {
-					checkBatchMatchesSerial(t, size, bc)
+					waves, dem := buildBatchWaves(t, size, int64(1000+size), bc)
+					checkBatchMatchesSerial(t, waves, dem, bc, size >= 7)
 				})
 			}
 		})
 	}
+	for _, bc := range batchCases() {
+		t.Run("late-winner/"+bc.String(), func(t *testing.T) {
+			waves, dem := buildLateWaves(t, 12, 2000, bc)
+			checkBatchMatchesSerial(t, waves, dem, bc, true)
+		})
+	}
 }
 
-// checkBatchMatchesSerial runs one size×case cell of
-// TestDemodulateBatchMatchesSerial.
-func checkBatchMatchesSerial(t *testing.T, size int, bc batchCase) {
-	waves, dem := buildBatchWaves(t, size, int64(1000+size), bc)
+// checkBatchMatchesSerial runs one cell of
+// TestDemodulateBatchMatchesSerial; mixed asks for both decodable and
+// failing lanes.
+func checkBatchMatchesSerial(t *testing.T, waves [][]complex128, dem *Demodulator, bc batchCase, mixed bool) {
+	size := len(waves)
 	got := dem.DemodulateBatchTo(nil, packBatch(waves), bc.sps)
 	if len(got) != size {
 		t.Fatalf("got %d results for %d lanes", len(got), size)
@@ -134,10 +178,10 @@ func checkBatchMatchesSerial(t *testing.T, size int, bc batchCase) {
 			okCount++
 		}
 	}
-	if size >= 7 && okCount == 0 {
+	if mixed && okCount == 0 {
 		t.Fatal("want at least one decodable lane in the batch")
 	}
-	if size >= 7 && okCount == size {
+	if mixed && okCount == size {
 		t.Fatal("want at least one failing lane in the batch")
 	}
 }

@@ -2,10 +2,13 @@ package ap
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mmtag/internal/channel"
+	"mmtag/internal/dsp"
 	"mmtag/internal/frame"
 	"mmtag/internal/phy"
 	"mmtag/internal/vanatta"
@@ -104,5 +107,36 @@ func TestEqualizedDemodValidation(t *testing.T) {
 	}
 	if res := dem.DemodulateEqualized(flat, 8, 4); res.OK() {
 		t.Fatal("must not decode from a constant waveform")
+	}
+}
+
+// DemodulateEqualized must return exactly what the same pipeline
+// returns on the full-correlation oracle scorer, on ISI and flat
+// channels and on the late-winner waveforms of the batch oracle test
+// (idle lead-in, sub-symbol offsets, strong static echo, low SNR).
+func TestDemodulateEqualizedMatchesOracle(t *testing.T) {
+	check := func(t *testing.T, what string, dem *Demodulator, w []complex128, sps, taps int) {
+		t.Helper()
+		got := dem.DemodulateEqualized(w, sps, taps)
+		want := dem.demodulateEqualized(w, sps, taps, func(syms *dsp.Batch, ar *dsp.Arena) (int, float64) {
+			return offsetImmunePeak(syms.Lane(0), dem.preKern, ar)
+		})
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s, %d taps:\nkernel: %+v\noracle: %+v", what, taps, got, want)
+		}
+	}
+	rng := rand.New(rand.NewSource(53))
+	for i, echo := range []complex128{0, complex(0.8, 0.3), complex(-0.4, 0.5)} {
+		wave, dem := multipathUplink(t, []byte("equalized oracle payload"), 8, echo, rng)
+		for _, taps := range []int{1, 2, 4} {
+			check(t, fmt.Sprintf("echo %d", i), dem, wave, 8, taps)
+			check(t, fmt.Sprintf("echo %d, offset 3", i), dem, wave[3:], 8, taps)
+		}
+	}
+	for _, bc := range batchCases() {
+		waves, dem := buildLateWaves(t, 6, 2100, bc)
+		for i, w := range waves {
+			check(t, fmt.Sprintf("%s late wave %d", bc, i), dem, w, bc.sps, 3)
+		}
 	}
 }

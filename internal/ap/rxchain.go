@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/cmplx"
+	"sync"
 	"time"
 
 	"mmtag/internal/dsp"
@@ -223,6 +224,23 @@ func (d *Demodulator) decideHard(eq []complex128, ar *dsp.Arena) (*frame.Frame, 
 // one-tap receiver; on an ISI channel it recovers frames the plain
 // pipeline loses.
 func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps int) UplinkResult {
+	return d.demodulateEqualized(rx, sps, maxChannelTaps, func(syms *dsp.Batch, ar *dsp.Arena) (int, float64) {
+		// Alignments are ranked by fit residual, not by score, so every
+		// alignment is searched alone: a one-lane batch.
+		_, lag, score := d.preKern.OffsetImmunePeak(syms, ar)
+		return lag, score
+	})
+}
+
+// eqLanesPool recycles DemodulateEqualized's pair of one-lane
+// alignment batches: the current alignment and the best so far.
+var eqLanesPool = sync.Pool{New: func() interface{} { return new([2]dsp.Batch) }}
+
+// demodulateEqualized is DemodulateEqualized with the preamble scorer
+// of a one-lane alignment batch as a parameter, so the package tests
+// can run the same pipeline on their full-correlation oracle.
+func (d *Demodulator) demodulateEqualized(rx []complex128, sps, maxChannelTaps int,
+	peak func(syms *dsp.Batch, ar *dsp.Arena) (int, float64)) UplinkResult {
 	res := UplinkResult{SyncSymbol: -1}
 	start := d.m.now()
 	defer func() { d.m.observeResult(&res, start) }()
@@ -240,10 +258,9 @@ func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps i
 	// alignment is the one the linear symbol-level model explains best.
 	ar := dsp.GetArena()
 	maxSyms := len(rx) / sps
-	bufA, bufB := ar.Complex(maxSyms), ar.Complex(maxSyms)
+	lanes := eqLanesPool.Get().(*[2]dsp.Batch)
 	defer func() {
-		ar.PutComplex(bufA)
-		ar.PutComplex(bufB)
+		eqLanesPool.Put(lanes)
 		dsp.PutArena(ar)
 	}()
 	bestLag, bestScore := -1, 0.0
@@ -251,13 +268,16 @@ func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps i
 	var bestSyms []complex128
 	var bestH []complex128
 	var bestB complex128
-	scratch, kept := bufA, bufB
+	cur := 0 // the lane the next alignment goes to; the other keeps the best
 	for off := 0; off < sps; off++ {
-		syms := integrateAndDumpTo(scratch, rx[off:], sps)
+		lane := &lanes[cur]
+		lane.Reset(1, maxSyms)
+		syms := integrateAndDumpTo(lane.LaneCap(0), rx[off:], sps)
+		lane.SetLaneLen(0, len(syms))
 		if len(syms) < len(d.centredPre)+maxChannelTaps {
 			continue
 		}
-		lag, score := offsetImmunePeak(syms, d.preKern, ar)
+		lag, score := peak(lane, ar)
 		if lag < 0 || score < 0.4 {
 			continue
 		}
@@ -273,10 +293,9 @@ func (d *Demodulator) DemodulateEqualized(rx []complex128, sps, maxChannelTaps i
 			bestResidual = resid
 			bestLag, bestScore = lag, score
 			bestSyms, bestH, bestB = syms, h, b
-			scratch, kept = kept, scratch
+			cur ^= 1
 		}
 	}
-	_ = kept
 	d.m.observeStage("sync", start)
 	res.SyncScore = bestScore
 	if bestLag < 0 {
@@ -343,57 +362,6 @@ func preambleFitResidual(stream, pre []complex128, h []complex128, b complex128,
 	}
 	return sum / float64(n) / h0
 }
-
-// offsetImmunePeak correlates x against the zero-mean reference of
-// kern and normalizes each window by its own variance, so an arbitrarily
-// large constant offset (the uncancelled self-interference) neither
-// shifts the peak nor deflates the score: with a zero-mean ref the
-// numerator sum((x+c) * conj(ref)) is independent of c, and subtracting
-// the window mean from the energy removes c from the denominator too.
-// Correlation and prefix-sum scratch come from ar.
-func offsetImmunePeak(x []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int, float64) {
-	ref := kern.Ref()
-	m := len(ref)
-	if m == 0 || len(x) < m {
-		return -1, 0
-	}
-	refE := dsp.Energy(ref)
-	if refE == 0 {
-		return -1, 0
-	}
-	corr := kern.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ar)
-	// Sliding window sum and energy via prefix sums.
-	prefSum := ar.Complex(len(x) + 1)
-	prefSum[0] = 0
-	prefE := ar.Float(len(x) + 1)
-	prefE[0] = 0
-	for i, v := range x {
-		prefSum[i+1] = prefSum[i] + v
-		prefE[i+1] = prefE[i] + real(v)*real(v) + imag(v)*imag(v)
-	}
-	defer func() {
-		ar.PutFloat(prefE)
-		ar.PutComplex(prefSum)
-		ar.PutComplex(corr)
-	}()
-	bestLag, bestScore := -1, 0.0
-	for k, c := range corr {
-		wSum := prefSum[k+m] - prefSum[k]
-		wE := prefE[k+m] - prefE[k]
-		// Variance-style energy: window energy minus offset contribution.
-		varE := wE - (real(wSum)*real(wSum)+imag(wSum)*imag(wSum))/float64(m)
-		if varE <= 1e-30 {
-			continue
-		}
-		s := cmplxAbs(c) / math.Sqrt(varE*refE)
-		if s > bestScore {
-			bestLag, bestScore = k, s
-		}
-	}
-	return bestLag, bestScore
-}
-
-func cmplxAbs(c complex128) float64 { return math.Hypot(real(c), imag(c)) }
 
 // fitGainOffset solves min over (a, b) of sum |r - a*p - b|^2.
 func fitGainOffset(r, p []complex128) (a, b complex128, err error) {

@@ -2,6 +2,7 @@ package ap
 
 import (
 	"fmt"
+	"math"
 
 	"mmtag/internal/dsp"
 )
@@ -72,4 +73,52 @@ func (d *Demodulator) demodulateSerial(rx []complex128, sps int) UplinkResult {
 	res.Frame, res.Err = d.decide(eq, ar)
 	ar.PutComplex(eq)
 	return res
+}
+
+// offsetImmunePeak is the full-correlation preamble scorer: correlate x
+// against the zero-mean reference of kern, then normalize each window by
+// its own variance, so an arbitrarily large constant offset (the
+// uncancelled self-interference) neither shifts the peak nor deflates
+// the score. It is the oracle dsp.CorrKernel.OffsetImmunePeak is held
+// to; correlation and prefix-sum scratch come from ar.
+func offsetImmunePeak(x []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int, float64) {
+	ref := kern.Ref()
+	m := len(ref)
+	if m == 0 || len(x) < m {
+		return -1, 0
+	}
+	refE := dsp.Energy(ref)
+	if refE == 0 {
+		return -1, 0
+	}
+	corr := kern.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ar)
+	// Sliding window sum and energy via prefix sums.
+	prefSum := ar.Complex(len(x) + 1)
+	prefSum[0] = 0
+	prefE := ar.Float(len(x) + 1)
+	prefE[0] = 0
+	for i, v := range x {
+		prefSum[i+1] = prefSum[i] + v
+		prefE[i+1] = prefE[i] + real(v)*real(v) + imag(v)*imag(v)
+	}
+	defer func() {
+		ar.PutFloat(prefE)
+		ar.PutComplex(prefSum)
+		ar.PutComplex(corr)
+	}()
+	bestLag, bestScore := -1, 0.0
+	for k, c := range corr {
+		wSum := prefSum[k+m] - prefSum[k]
+		wE := prefE[k+m] - prefE[k]
+		// Variance-style energy: window energy minus offset contribution.
+		varE := wE - (real(wSum)*real(wSum)+imag(wSum)*imag(wSum))/float64(m)
+		if varE <= 1e-30 {
+			continue
+		}
+		s := math.Hypot(real(c), imag(c)) / math.Sqrt(varE*refE)
+		if s > bestScore {
+			bestLag, bestScore = k, s
+		}
+	}
+	return bestLag, bestScore
 }

@@ -269,9 +269,9 @@ func (kn *CorrKernel) CrossCorrelateBatch(out, x *Batch, ar *Arena) {
 		panic("dsp: batch lane count mismatch")
 	}
 	m := len(kn.ref)
-	// Pass 1: classify lanes. Direct-threshold lanes run the exact
-	// direct loop immediately; FFT lanes are deferred as (lane, size)
-	// pairs so pass 2 can group them by transform size.
+	// Classify lanes. Direct-threshold lanes run the exact direct loop
+	// immediately; FFT lanes are deferred as (lane, size) pairs so
+	// correlateFFT can group them by transform size.
 	deferred := ar.Ints(2 * lanes)[:0]
 	defer func() { ar.PutInts(deferred[:cap(deferred)]) }()
 	for l := 0; l < lanes; l++ {
@@ -281,18 +281,24 @@ func (kn *CorrKernel) CrossCorrelateBatch(out, x *Batch, ar *Arena) {
 			continue
 		}
 		out.SetLaneLen(l, n-m+1)
-		if n*m <= 1<<14 {
+		if n*m <= directMaxWork {
 			kn.correlateSmall(out.Lane(l), x.Lane(l))
 			continue
 		}
 		deferred = append(deferred, l, NextPow2(n+m-1))
 	}
-	// Pass 2: one interleaved sweep per FFT size. Group membership is
-	// compacted in place: each round peels every pair matching the
-	// first remaining size into the group scratch, then recurs on the
-	// rest. One demod batch nearly always collapses to a single round.
+	kn.correlateFFT(out, x, deferred, ar)
+}
+
+// correlateFFT correlates the FFT-path lanes of x listed in deferred,
+// as (lane, FFT size) pairs, into the same lanes of out, whose lengths
+// are already set: one interleaved sweep per FFT size. Group membership
+// is compacted in place (deferred is consumed): each round peels every
+// pair matching the first remaining size into the group scratch, then
+// recurs on the rest. One demod batch nearly always collapses to a
+// single round.
+func (kn *CorrKernel) correlateFFT(out, x *Batch, deferred []int, ar *Arena) {
 	group := ar.Ints(len(deferred) / 2)[:0]
-	defer func() { group = group[:cap(group)]; ar.PutInts(group) }()
 	for len(deferred) > 0 {
 		size := deferred[1]
 		group = group[:0]
@@ -313,6 +319,7 @@ func (kn *CorrKernel) CrossCorrelateBatch(out, x *Batch, ar *Arena) {
 			kn.correlateGroup(out, x, group[lo:hi], size, ar)
 		}
 	}
+	ar.PutInts(group[:cap(group)])
 }
 
 // maxGroupLanes caps how many lanes one interleaved sweep carries so

@@ -39,6 +39,7 @@ type CorrKernel struct {
 	nvals int
 	vals  [maxTableVals]complex128
 	sel   [maxTableTaps]uint8
+	bound peakBound // OffsetImmunePeak's reference-side terms
 
 	mu   sync.Mutex
 	spec map[int][]complex128 // FFT size -> reference spectrum
@@ -53,10 +54,16 @@ const (
 	// maxTableTaps and tableStackLen size the table and
 	// correlateTable's stack scratch (tap offsets and product rows).
 	// No reference longer than 128 taps reaches the direct path
-	// (n >= m and n*m <= 2^14), and the waveform tier's rows are 2 of
+	// (n >= m and n*m <= directMaxWork), and the waveform tier's rows are 2 of
 	// 227 samples.
 	maxTableTaps  = 128
 	tableStackLen = 1024
+	// directMaxWork is the direct-form threshold: a lane of n samples
+	// against an m-tap reference is correlated by direct sums when
+	// n*m <= directMaxWork and through the FFT otherwise. Every
+	// correlation entry point splits lanes here, so the fused preamble
+	// search sums exactly the lags CrossCorrelateTo would.
+	directMaxWork = 1 << 14
 )
 
 // NewCorrKernel copies ref into a reusable correlation kernel.
@@ -65,6 +72,7 @@ func NewCorrKernel(ref []complex128) *CorrKernel {
 	copy(r, ref)
 	kn := &CorrKernel{ref: r, spec: make(map[int][]complex128)}
 	kn.buildTable()
+	kn.boundTerms()
 	return kn
 }
 
@@ -121,7 +129,7 @@ func correlate(dst, x, ref []complex128, kn *CorrKernel, ar *Arena) []complex128
 		return nil
 	}
 	out := GrowComplex(dst, n-m+1)
-	if n*m <= 1<<14 {
+	if n*m <= directMaxWork {
 		if kn != nil {
 			kn.correlateSmall(out, x)
 		} else {
@@ -187,32 +195,27 @@ func (kn *CorrKernel) correlateSmall(out, x []complex128) {
 // multiplies. Every term x[j]*conj(ref[i]) is x[j] times one of the
 // kernel's few distinct values, so it forms the product row
 // rows[v][j] = x[j]*vals[v] once per value, then sums each lag's terms
-// out of the rows, four lags at a time, in ascending tap order from a
-// zero accumulator. The stored products are the same rounded values
-// the MAC loop adds (Go does not fuse a multiply with the following add
-// on amd64) and each lag's addition order is the same, so the output is
-// bit-identical to correlateDirect's; only which payload a NaN lag
-// carries may differ, since Go leaves that to the compiler's operand
-// order. The table and the tap offsets
-// live on the stack (nvals*len(x) <= tableStackLen, len(ref) <=
-// maxTableTaps), so the path never allocates.
+// out of the rows (sumTaps). The stored products are the same rounded
+// values the MAC loop adds (Go does not fuse a multiply with the
+// following add on amd64) and each lag's addition order is the same, so
+// the output is bit-identical to correlateDirect's; only which payload
+// a NaN lag carries may differ, since Go leaves that to the compiler's
+// operand order. The table and the tap offsets live on the stack
+// (nvals*len(x) <= tableStackLen, len(ref) <= maxTableTaps), so the
+// path never allocates.
 func (kn *CorrKernel) correlateTable(out, x []complex128) {
-	n := len(x)
 	var rowBuf [tableStackLen]complex128
-	rows := rowBuf[:kn.nvals*n]
-	for v, c := range kn.vals[:kn.nvals] {
-		row := rows[v*n : v*n+n]
-		for j, xv := range x {
-			row[j] = xv * c
-		}
-	}
-	// Tap i of lag k reads rows[offs[i]+k]: its value's row, shifted
-	// by the tap index.
 	var offBuf [maxTableTaps]int
-	offs := offBuf[:len(kn.ref)]
-	for i, s := range kn.sel[:len(kn.ref)] {
-		offs[i] = int(s)*n + i
-	}
+	rows, offs := rowBuf[:kn.nvals*len(x)], offBuf[:len(kn.ref)]
+	kn.fillRows(rows, offs, x)
+	sumTaps(out, rows, offs)
+}
+
+// sumTaps writes out[k] = the sum over i of rows[offs[i]+k], four lags
+// at a time, each lag in ascending tap order from a zero accumulator.
+// Given a prefix of a reference's offsets it forms every lag's partial
+// sum over those taps: the value a full sum reaches after them.
+func sumTaps(out, rows []complex128, offs []int) {
 	k := 0
 	for ; k+4 <= len(out); k += 4 {
 		var a0, a1, a2, a3 complex128
@@ -232,6 +235,23 @@ func (kn *CorrKernel) correlateTable(out, x []complex128) {
 			acc += rows[o+k]
 		}
 		out[k] = acc
+	}
+}
+
+// fillRows writes the product rows rows[v*n+j] = x[j]*vals[v] for the
+// table's nvals values (len(rows) = nvals*n) and the tap offsets
+// offs[i] = sel[i]*n + i (len(offs) = len(ref)): tap i of lag k reads
+// rows[offs[i]+k], its value's row shifted by the tap index.
+func (kn *CorrKernel) fillRows(rows []complex128, offs []int, x []complex128) {
+	n := len(x)
+	for v, c := range kn.vals[:kn.nvals] {
+		row := rows[v*n : v*n+n]
+		for j, xv := range x {
+			row[j] = xv * c
+		}
+	}
+	for i, s := range kn.sel[:len(kn.ref)] {
+		offs[i] = int(s)*n + i
 	}
 }
 

@@ -7,14 +7,12 @@ import (
 	"testing"
 )
 
-// centredPreamble rebuilds the receiver's preamble reference: n bits of
-// the frame preamble's LFSR (x^7 + x^6 + 1 from state 0x5A, as
-// frame.Preamble) mapped onto p0/p1 and centred by their mean, as
-// ap.NewDemodulator does.
-func centredPreamble(n int, p0, p1 complex128) []complex128 {
+// preamblePoints returns n bits of the frame preamble's LFSR
+// (x^7 + x^6 + 1 from state 0x5A, as frame.Preamble) mapped onto
+// p0/p1: what a tag transmits for the preamble.
+func preamblePoints(n int, p0, p1 complex128) []complex128 {
 	pts := make([]complex128, n)
 	state := byte(0x5A)
-	var mean complex128
 	for i := range pts {
 		fb := ((state >> 6) ^ (state >> 5)) & 1
 		state = (state<<1 | fb) & 0x7F
@@ -22,7 +20,17 @@ func centredPreamble(n int, p0, p1 complex128) []complex128 {
 		if fb != 0 {
 			pts[i] = p1
 		}
-		mean += pts[i]
+	}
+	return pts
+}
+
+// centredPreamble rebuilds the receiver's preamble reference:
+// preamblePoints centred by their mean, as ap.NewDemodulator does.
+func centredPreamble(n int, p0, p1 complex128) []complex128 {
+	pts := preamblePoints(n, p0, p1)
+	var mean complex128
+	for _, v := range pts {
+		mean += v
 	}
 	mean /= complex(float64(n), 0)
 	for i := range pts {
@@ -118,7 +126,7 @@ func TestCorrKernelTableMatchesDirect(t *testing.T) {
 		ar := NewArena()
 		for _, lags := range []int{1, 2, 3, 4, 5, 6, 7, 8, 61, 62, 63, 64, 165, 300, 1001} {
 			n := m + lags - 1
-			if n*m > 1<<14 {
+			if n*m > directMaxWork {
 				continue
 			}
 			for rep, x := range [][]complex128{randSignal(rng, n), specialSignal(rng, n)} {

@@ -15,9 +15,9 @@ import (
 // frame trials (all randomness is drawn at stage time, in stage order,
 // so a stage-then-flush sequence consumes every RNG stream exactly as
 // one FrameSuccess call per trial would) and then flush the accumulated
-// waveforms through ap.Demodulator.DemodulateBatchTo — one plan walk
-// and one preamble spectrum per FFT size for the whole batch, instead
-// of one per frame. FrameSuccess itself is a one-trial stage and flush.
+// waveforms through ap.Demodulator.DemodulateBatchTo, one pooled
+// demodulation pass per modulation group instead of one call per frame.
+// FrameSuccess itself is a one-trial stage and flush.
 //
 // DESIGN.md: section 11 (batched demodulation).
 

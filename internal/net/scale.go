@@ -3,6 +3,7 @@ package net
 import (
 	"fmt"
 	"math"
+	"sync"
 	"sync/atomic"
 
 	"mmtag/internal/fastrand"
@@ -464,14 +465,58 @@ func (s *ScaleDeployment) Run() (*ScaleReport, error) {
 // flush boundary between tags yields the same report.
 const scaleFlushLanes = 256
 
+// chunkEngines is one chunk's tier-a/b working set: the engines, the
+// shared reseeded RNG and the tier-a staging state, each built on first
+// use. Engines cache only per-modulation tables and scratch, never
+// outcomes, so chunks and Runs share them through chunkEnginesPool
+// instead of regrowing every buffer per chunk.
+type chunkEngines struct {
+	sym *link.Symbol
+	wav *link.Waveform
+	// One reseeded RNG. fastrand's Seed builds the stdlib register
+	// without walking its serial seeding chain, and its stream is the
+	// stdlib's, so the per-tag reseed is cheap and exact. Handing the
+	// engines the concrete *fastrand.Rand lets phy.MeasureBER and
+	// channel.AWGN take their fused bodies, drawing the same stream.
+	rng      *fastrand.Rand
+	batch    link.FrameBatch
+	deferred []deferredTag
+	okFlags  []bool
+}
+
+// deferredTag is a tier-a tag whose frames are staged but not yet
+// flushed: its tally waits for the flush.
+type deferredTag struct {
+	ap    int
+	snrDB float64
+}
+
+var chunkEnginesPool = sync.Pool{New: func() interface{} { return new(chunkEngines) }}
+
+// reseed returns the working set's RNG reseeded to seed.
+func (e *chunkEngines) reseed(seed int64) *fastrand.Rand {
+	if e.rng == nil {
+		e.rng = fastrand.New(0)
+	}
+	e.rng.Seed(seed)
+	return e.rng
+}
+
+// putChunkEngines drops anything staged, so no lane of an abandoned
+// chunk can reach the next one, and returns the working set.
+func putChunkEngines(e *chunkEngines) {
+	e.batch.Reset()
+	e.deferred = e.deferred[:0]
+	chunkEnginesPool.Put(e)
+}
+
 // runChunk simulates tags [ci*ChunkSize, min((ci+1)*ChunkSize, Tags)).
 // The tier-c path is allocation-free per tag (value-type RNG streams,
-// closed-form outcomes); the bounded tier-a/b heads lazily build their
-// engines once per chunk and reseed a single shared RNG per tag.
+// closed-form outcomes); the tier-a/b heads borrow pooled engines and
+// reseed a single shared RNG per tag.
 //
 // Tier-a tags stage their frame waveforms into a chunk-wide
-// link.FrameBatch and demodulate in batched flushes, so every staged
-// lane shares one FFT plan walk and one preamble spectrum. All RNG
+// link.FrameBatch and demodulate in batched flushes. All RNG
 // draws still happen per tag at stage time, in trial order — the
 // stream discipline (reseed shared rng per tag, draw FramesPerTag
 // frames) is unchanged, so outcomes are bit-identical to the serial
@@ -485,14 +530,8 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 		hi = cfg.Tags
 	}
 	var bud link.Budget
-	var sym *link.Symbol
-	var wav *link.Waveform
-	// One reseeded RNG per chunk. fastrand's Seed builds the stdlib
-	// register without walking its serial seeding chain, and its stream
-	// is the stdlib's, so the per-tag reseed is cheap and exact. Handing
-	// the engines the concrete *fastrand.Rand lets phy.MeasureBER and
-	// channel.AWGN take their fused bodies, drawing the same stream.
-	var rng *fastrand.Rand
+	e := chunkEnginesPool.Get().(*chunkEngines)
+	defer putChunkEngines(e)
 
 	tally := func(a int, tier link.Tier, snrDB float64, ok int) {
 		agg.tags[a].Add(1)
@@ -506,32 +545,25 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 		}
 	}
 
-	type deferredTag struct {
-		ap    int
-		snrDB float64
-	}
-	var batch link.FrameBatch
-	var deferred []deferredTag
-	var okFlags []bool
 	flush := func() error {
-		if len(deferred) == 0 {
+		if len(e.deferred) == 0 {
 			return nil
 		}
 		var err error
-		okFlags, err = wav.FlushFrames(&batch, okFlags[:0])
+		e.okFlags, err = e.wav.FlushFrames(&e.batch, e.okFlags[:0])
 		if err != nil {
 			return err
 		}
-		for t, d := range deferred {
+		for t, d := range e.deferred {
 			ok := 0
-			for _, good := range okFlags[t*cfg.FramesPerTag : (t+1)*cfg.FramesPerTag] {
+			for _, good := range e.okFlags[t*cfg.FramesPerTag : (t+1)*cfg.FramesPerTag] {
 				if good {
 					ok++
 				}
 			}
 			tally(d.ap, link.TierWaveform, d.snrDB, ok)
 		}
-		deferred = deferred[:0]
+		e.deferred = e.deferred[:0]
 		return nil
 	}
 
@@ -556,35 +588,29 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 				}
 			}
 		case link.TierWaveform:
-			if wav == nil {
-				wav = link.NewWaveform()
+			if e.wav == nil {
+				e.wav = link.NewWaveform()
 			}
-			if rng == nil {
-				rng = fastrand.New(0)
-			}
-			rng.Seed(par.Derive(cfg.Seed, linkStream))
+			rng := e.reseed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				if err := wav.StageFrame(&batch, cfg.Rate, snrRate, cfg.PayloadBytes, rng); err != nil {
+				if err := e.wav.StageFrame(&e.batch, cfg.Rate, snrRate, cfg.PayloadBytes, rng); err != nil {
 					return err
 				}
 			}
-			deferred = append(deferred, deferredTag{ap: a, snrDB: snrDB})
-			if batch.Len() >= scaleFlushLanes {
+			e.deferred = append(e.deferred, deferredTag{ap: a, snrDB: snrDB})
+			if e.batch.Len() >= scaleFlushLanes {
 				if err := flush(); err != nil {
 					return err
 				}
 			}
 			continue // tallied at the flush
 		default:
-			if sym == nil {
-				sym = link.NewSymbol()
+			if e.sym == nil {
+				e.sym = link.NewSymbol()
 			}
-			if rng == nil {
-				rng = fastrand.New(0)
-			}
-			rng.Seed(par.Derive(cfg.Seed, linkStream))
+			rng := e.reseed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				good, err := sym.FrameSuccess(cfg.Rate, snrRate, cfg.PayloadBytes, rng)
+				good, err := e.sym.FrameSuccess(cfg.Rate, snrRate, cfg.PayloadBytes, rng)
 				if err != nil {
 					return err
 				}

@@ -3,6 +3,7 @@ package net
 import (
 	"math"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"mmtag/internal/link"
@@ -176,6 +177,61 @@ func TestScaleRunAllocsOAPs(t *testing.T) {
 			t.Fatalf("%s ladder: allocations scale with population: %.0f allocs at 2k tags vs %.0f at 16k",
 				l.name, small, large)
 		}
+	}
+}
+
+// A steady-state Run on the default ladder must not regrow its tier-a
+// and tier-b working sets per chunk: the pooled engines keep their
+// staging batches, demodulator scratch and RNG across chunks and Runs,
+// so a 4,096-tag Run (the BenchmarkScaleRun/ladder shape) allocates
+// well under the 23 MB it took when every chunk built its own.
+func TestScaleRunLadderBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool sheds at random under the race detector")
+	}
+	tiers := link.DefaultThresholds()
+	s, err := NewScale(ScaleConfig{
+		APs: 16, CellM: 32, Tags: 4096, FramesPerTag: 4,
+		Tiers: &tiers, Seed: 1,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 2; i++ { // warm the engine and arena pools
+		if _, err := s.Run(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if _, err := s.Run(); err != nil {
+		t.Fatal(err)
+	}
+	runtime.ReadMemStats(&after)
+	const limit = 6 << 20
+	got := after.TotalAlloc - before.TotalAlloc
+	t.Logf("steady-state ladder Run: %d bytes", got)
+	if got > limit {
+		t.Fatalf("steady-state ladder Run allocates %d bytes, want under %d", got, limit)
+	}
+}
+
+// A chunk that returns early (an engine error mid-stage or mid-flush)
+// must not hand its staged frames or deferred tallies to the next
+// chunk that borrows the same pooled working set.
+func TestChunkEnginesResetOnPut(t *testing.T) {
+	e := chunkEnginesPool.Get().(*chunkEngines)
+	if e.wav == nil {
+		e.wav = link.NewWaveform()
+	}
+	if err := e.wav.StageFrame(&e.batch, ProbeRate(), 1e3, 8, e.reseed(1)); err != nil {
+		t.Fatal(err)
+	}
+	e.deferred = append(e.deferred, deferredTag{ap: 3, snrDB: 40})
+	putChunkEngines(e)
+	if e.batch.Len() != 0 || len(e.deferred) != 0 {
+		t.Fatalf("returned working set still holds %d staged frames and %d deferred tags",
+			e.batch.Len(), len(e.deferred))
 	}
 }
 
