@@ -1,31 +1,41 @@
 package net
 
 import (
+	"runtime"
 	"testing"
 
 	"mmtag/internal/link"
+	"mmtag/internal/par"
 )
 
-// BenchmarkScaleRun times one serial ScaleDeployment.Run over a
+// BenchmarkScaleRun times one ScaleDeployment.Run over a
 // scale-ladder-shaped population (16 APs in 32 m cells, 4 frames per
 // tag): "ladder" on the default fidelity ladder, where the tier-a and
 // tier-b engines do most of the work, and "budget" with every tag on
-// the closed-form tier. One op is one Run; tags/s is reported.
+// the closed-form tier. The plain cases run serially; the "-par" cases
+// fan out over a pool of GOMAXPROCS workers, so contention between
+// chunks shows (ladder-par runs four default chunks, not one). One op
+// is one Run; tags/s is reported.
 //
 //	go test -run NONE -bench ScaleRun ./internal/net
 func BenchmarkScaleRun(b *testing.B) {
+	pool := par.New(par.Config{Workers: runtime.GOMAXPROCS(0)})
+	defer pool.Close()
 	for _, bc := range []struct {
 		name  string
 		tiers link.Thresholds
 		tags  int
+		pool  *par.Pool
 	}{
-		{"ladder", link.DefaultThresholds(), 4096},
-		{"budget", link.AllBudget(), 65536},
+		{"ladder", link.DefaultThresholds(), 4096, nil},
+		{"budget", link.AllBudget(), 65536, nil},
+		{"ladder-par", link.DefaultThresholds(), 16384, pool},
+		{"budget-par", link.AllBudget(), 65536, pool},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := NewScale(ScaleConfig{
 				APs: 16, CellM: 32, Tags: bc.tags, FramesPerTag: 4,
-				Tiers: &bc.tiers, Seed: 1,
+				Tiers: &bc.tiers, Seed: 1, Pool: bc.pool,
 			})
 			if err != nil {
 				b.Fatal(err)
