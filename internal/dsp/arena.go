@@ -27,6 +27,9 @@ type Arena struct {
 	f64   [maxBucket][][]float64
 	ints  [maxBucket][][]int
 	bytes [maxBucket][][]byte
+	// corr holds OffsetImmunePeak's correlation rows, so the search
+	// borrows no pool of its own.
+	corr Batch
 }
 
 const maxBucket = 48 // caps beyond 2^47 elements are not poolable
@@ -159,6 +162,15 @@ func (a *Arena) PutBytes(buf []byte) {
 	if b := homeBucket(cap(buf)); b >= 0 {
 		a.bytes[b] = append(a.bytes[b], buf[:0])
 	}
+}
+
+// corrRows returns the arena's correlation-row batch (a fresh one for
+// a nil arena).
+func (a *Arena) corrRows() *Batch {
+	if a == nil {
+		return new(Batch)
+	}
+	return &a.corr
 }
 
 // homeBucket returns the free-list index a buffer of capacity c belongs

@@ -1,9 +1,6 @@
 package dsp
 
-import (
-	"math"
-	"sync"
-)
+import "math"
 
 // The offset-immune preamble search: correlation and peak scoring fused
 // into one pass that abandons every lag whose score provably cannot
@@ -93,7 +90,7 @@ func (kn *CorrKernel) OffsetImmunePeak(x *Batch, ar *Arena) (lane, lag int, scor
 			continue
 		}
 		if corr == nil {
-			corr = corrScratchPool.Get().(*Batch)
+			corr = ar.corrRows()
 			corr.Reset(lanes, x.Stride())
 		}
 		corr.SetLaneLen(l, n-m+1)
@@ -120,14 +117,8 @@ func (kn *CorrKernel) OffsetImmunePeak(x *Batch, ar *Arena) (lane, lag int, scor
 			lane, lag, score = l, k, s
 		}
 	}
-	if corr != nil {
-		corrScratchPool.Put(corr)
-	}
 	return lane, lag, score
 }
-
-// corrScratchPool recycles OffsetImmunePeak's correlation-row batch.
-var corrScratchPool = sync.Pool{New: func() interface{} { return new(Batch) }}
 
 // lanePeak is OffsetImmunePeak on one lane x (len(x) >= m), searched
 // against a floor (>= 0): a lag is abandoned as soon as a rigorous
