@@ -238,7 +238,7 @@ func (l *Link) SNR(bandwidthHz float64) (float64, error) {
 	noise := rfmath.ThermalNoisePower(rfmath.RoomTemperatureK, bandwidthHz) *
 		rfmath.FromDB(l.NoiseFigureDB)
 	snr := pr / (noise + l.InterferenceW)
-	l.Obs.observe(snr)
+	l.Obs.Observe(snr)
 	return snr, nil
 }
 

@@ -31,8 +31,10 @@ func NewLinkObs(reg *obs.Registry) *LinkObs {
 	}
 }
 
-// observe records one budget evaluation outcome.
-func (o *LinkObs) observe(snr float64) {
+// Observe records one budget evaluation outcome. Link.SNR calls it for
+// every SNR it computes; a caller that answers a repeated query from a
+// memo calls it to meter the evaluation the memo stood in for.
+func (o *LinkObs) Observe(snr float64) {
 	if o == nil {
 		return
 	}

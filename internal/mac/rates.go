@@ -150,41 +150,62 @@ func DefaultRateTable() []Rate {
 // invisible. Errors are reserved for configuration mistakes (empty
 // table, nonsensical target).
 func PickRate(table []Rate, targetPER float64, airBits int, snrFor func(Rate) float64) (r Rate, degraded bool, err error) {
+	if err := checkLadder(table, targetPER); err != nil {
+		return Rate{}, false, err
+	}
+	best := bestRate(table, targetPER, airBits, func(i int) float64 { return snrFor(table[i]) })
+	if best < 0 {
+		return table[robustRate(table, snrFor)], true, nil
+	}
+	return table[best], false, nil
+}
+
+// checkLadder reports the configuration mistakes PickRate errors on.
+func checkLadder(table []Rate, targetPER float64) error {
 	if len(table) == 0 {
-		return Rate{}, false, fmt.Errorf("mac: empty rate table")
+		return fmt.Errorf("mac: empty rate table")
 	}
 	if targetPER <= 0 || targetPER >= 1 {
-		return Rate{}, false, fmt.Errorf("mac: target PER must be in (0,1), got %g", targetPER)
+		return fmt.Errorf("mac: target PER must be in (0,1), got %g", targetPER)
 	}
+	return nil
+}
+
+// bestRate is PickRate's first pass: the index of the highest-goodput
+// entry whose predicted PER at snrAt(i) meets the target, or -1. It
+// calls snrAt once per entry, in table order.
+func bestRate(table []Rate, targetPER float64, airBits int, snrAt func(i int) float64) int {
 	best := -1
 	bestGoodput := -math.MaxFloat64
 	for i, r := range table {
-		per := r.FramePER(snrFor(r), airBits)
+		per := r.FramePER(snrAt(i), airBits)
 		if per <= targetPER && r.Goodput() > bestGoodput {
 			best, bestGoodput = i, r.Goodput()
 		}
 	}
-	if best < 0 {
-		// Fall back to the most robust usable entry (positive SNR means
-		// the tag supports and hears the rate); when nothing is usable,
-		// the most robust entry overall.
-		mostRobust := func(pred func(Rate) bool) int {
-			idx := -1
-			for i, r := range table {
-				if !pred(r) {
-					continue
-				}
-				if idx < 0 || r.Goodput() < table[idx].Goodput() {
-					idx = i
-				}
+	return best
+}
+
+// robustRate is PickRate's fallback when no entry meets the target: the
+// most robust usable entry (positive SNR means the tag supports and
+// hears the rate), asking snrFor once per entry in table order; when
+// nothing is usable, the most robust entry overall.
+func robustRate(table []Rate, snrFor func(Rate) float64) int {
+	mostRobust := func(pred func(Rate) bool) int {
+		idx := -1
+		for i, r := range table {
+			if !pred(r) {
+				continue
 			}
-			return idx
+			if idx < 0 || r.Goodput() < table[idx].Goodput() {
+				idx = i
+			}
 		}
-		best = mostRobust(func(r Rate) bool { return snrFor(r) > 0 })
-		if best < 0 {
-			best = mostRobust(func(Rate) bool { return true })
-		}
-		return table[best], true, nil
+		return idx
 	}
-	return table[best], false, nil
+	best := mostRobust(func(r Rate) bool { return snrFor(r) > 0 })
+	if best < 0 {
+		best = mostRobust(func(Rate) bool { return true })
+	}
+	return best
 }

@@ -138,6 +138,68 @@ type TagRecord struct {
 	ID      uint8
 	BeamRad float64 // beam under which the tag was found
 	SNR     float64 // linear SNR measured at discovery (probe rate)
+
+	pick pickMemo
+}
+
+// pickMemoRates is the longest rate table a tag's decision memo covers:
+// the default ladder's length. Polls over a longer table run bestRate
+// afresh every time.
+const pickMemoRates = 8
+
+// pickMemo is a tag's last rate decision and attempt pricing. bestRate
+// and FramePER are pure, so when the medium answers a poll's ladder
+// walk with the same bits as the last poll did, the decision is the
+// same. The medium is still asked every question, so fault injectors,
+// moving tags and the medium's query counters see every poll.
+type pickMemo struct {
+	snr  [pickMemoRates]uint64 // the last ladder walk's answers, in table order
+	warm bool                  // snr holds a walk
+	best int                   // bestRate over snr: an index, or -1
+
+	// The last attempt's figures, keyed on its rate index and SNR bits.
+	attOK      bool
+	attRate    int
+	attSNR     uint64
+	snrDB, per float64
+}
+
+// decide returns bestRate over the medium's answers to one ladder walk,
+// asking snrFor once per entry in table order as bestRate does, and
+// reusing the last decision when the answers are bit-equal to the last
+// walk's.
+func (m *pickMemo) decide(table []Rate, targetPER float64, airBits int, snrFor func(Rate) float64) int {
+	if len(table) > pickMemoRates {
+		return bestRate(table, targetPER, airBits, func(i int) float64 { return snrFor(table[i]) })
+	}
+	same := m.warm
+	for i, r := range table {
+		if b := math.Float64bits(snrFor(r)); b != m.snr[i] {
+			m.snr[i], same = b, false
+		}
+	}
+	if !same {
+		m.warm = true
+		m.best = bestRate(table, targetPER, airBits, func(i int) float64 { return math.Float64frombits(m.snr[i]) })
+	}
+	return m.best
+}
+
+// attempt returns an audible attempt's SNR in dB and, when withPER is
+// set, its predicted frame PER, reusing the last attempt's figures when
+// the rate index and the SNR bits are unchanged. withPER is fixed for a
+// station (it is whether the analytic draw is in use), so a reused PER
+// was always computed.
+func (m *pickMemo) attempt(idx int, r Rate, snr float64, airBits int, withPER bool) (snrDB, per float64) {
+	b := math.Float64bits(snr)
+	if !m.attOK || m.attRate != idx || m.attSNR != b {
+		m.attOK, m.attRate, m.attSNR = true, idx, b
+		m.snrDB = 10 * math.Log10(snr)
+		if withPER {
+			m.per = r.FramePER(snr, airBits)
+		}
+	}
+	return m.snrDB, m.per
 }
 
 // Station is the AP-side MAC entity.
@@ -423,17 +485,25 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 	if !ok {
 		return PollResult{}, fmt.Errorf("mac: tag %d not discovered", id)
 	}
-	airBits := frame.AirBits(s.cfg.PollPayloadBytes, frame.Options{})
-	rate, degraded, err := PickRate(s.cfg.RateTable, s.cfg.TargetPER, airBits, func(r Rate) float64 {
+	// PickRate, answered from the tag's decision memo.
+	table := s.cfg.RateTable
+	if err := checkLadder(table, s.cfg.TargetPER); err != nil {
+		return PollResult{}, err
+	}
+	snrFor := func(r Rate) float64 {
 		snr, audible := s.medium.SNR(id, rec.BeamRad, r)
 		if !audible {
 			return 0
 		}
 		return snr
-	})
-	if err != nil {
-		return PollResult{}, err
 	}
+	airBits := frame.AirBits(s.cfg.PollPayloadBytes, frame.Options{})
+	best := rec.pick.decide(table, s.cfg.TargetPER, airBits, snrFor)
+	degraded := best < 0
+	if degraded {
+		best = robustRate(table, snrFor)
+	}
+	rate := table[best]
 	res := PollResult{TagID: id, Rate: rate, SNRdB: math.Inf(-1), Degraded: degraded}
 	if degraded {
 		s.Stats.DegradedPicks++
@@ -454,7 +524,8 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 			break
 		}
 		if audible {
-			res.SNRdB = 10 * math.Log10(snr)
+			snrDB, per := rec.pick.attempt(best, rate, snr, airBits, s.cfg.Frames == nil)
+			res.SNRdB = snrDB
 			delivered := false
 			if s.cfg.Frames != nil {
 				good, err := s.cfg.Frames.FrameSuccess(rate, snr, s.cfg.PollPayloadBytes, s.rng)
@@ -463,7 +534,6 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 				}
 				delivered = good
 			} else {
-				per := rate.FramePER(snr, airBits)
 				delivered = s.rng.Float64() >= per
 			}
 			if delivered {

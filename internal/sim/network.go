@@ -53,18 +53,26 @@ type Interferer struct {
 // comes out of the monostatic backscatter link budget.
 //
 // A Network is not safe for concurrent use: every query steers the
-// shared AP and reuses the network's query memo and Link.
+// shared AP and reuses the network's query memos and Link.
 type Network struct {
 	AP *ap.AP
 	// PathLoss is the one-way propagation model. Set it before the
-	// first query: the interference memo prices each beam through it.
-	PathLoss    channel.PathLoss
-	tags        map[uint8]*Placement
+	// first query: the query memos price every answer through it.
+	PathLoss channel.PathLoss
+	// tags is indexed by the 8-bit tag ID; a nil slot is unplaced.
+	tags        [256]*tagSlot
+	ntags       int
 	interferers []Interferer
+	// gen counts AddInterferer calls; a tag memo filled under an older
+	// generation misses.
+	gen uint64
 
-	// memo holds the rate-invariant factors of recent queries; query is
-	// the Link every query rebuilds in place (see link).
-	memo  queryMemo
+	// interf is the co-channel interference sum per (AP, beam), which
+	// every tag shares, direct-mapped on the beam bits.
+	interf [1 << interfSlotBits]interfMemo
+	// refl and query are the Reflector and Link a cold query prices,
+	// rebuilt in place (see budget).
+	refl  gainReflector
 	query channel.Link
 
 	// Instrumentation (all nil-safe; see Instrument).
@@ -78,60 +86,131 @@ type Network struct {
 // queries compute the interference sum about once per beam.
 const interfSlotBits = 6
 
-// queryMemo caches the parts of an SNR query that do not depend on the
-// rate, which mac.PickRate otherwise recomputes for every entry of the
-// rate ladder. Each entry is keyed on the exact bits of every input its
-// value is computed from and is filled by the same call the query would
-// make, so a hit returns the value a cold query computes, bit for bit.
-// Keys hold pointers (AP, tag array), never tag IDs: a placement is
-// mutated in place by the mobility runner, and its new azimuth or
-// orientation must miss.
-type queryMemo struct {
-	// interf is the co-channel interference sum per (AP, beam),
-	// direct-mapped on the beam bits.
-	interf [1 << interfSlotBits]interfMemo
-	// apGain is the AP gain toward the last (AP, beam, tag azimuth).
-	apGain gainMemo
-	// refl is the query Link's reflector: the tag array's monostatic
-	// gain at the last (array, orientation).
-	refl reflMemo
-}
-
 type interfMemo struct {
 	ap   *ap.AP
 	beam uint64
 	w    float64
 }
 
-type gainMemo struct {
-	ap       *ap.AP
-	beam, az uint64
-	gain     float64
+// tagSlot is one placed tag: its placement, which callers mutate in
+// place through Placement, and the memo of the queries asked about it.
+type tagSlot struct {
+	p    Placement
+	memo tagMemo
 }
 
-// reflMemo is the vanatta.Reflector a query's Link prices: the placed
-// tag's array, with the monostatic gain of the last (array, angle) it
-// evaluated remembered.
-type reflMemo struct {
-	// arr is the array of the tag being queried.
-	arr *vanatta.Array
+// rateSlots bounds the per-rate answers a tag memo keeps; the default
+// ladder's eight rates, the probe rate among them, fit.
+const rateSlots = 8
 
-	key   *vanatta.Array
-	theta uint64
-	gain  float64
+// tagMemo caches the SNR answers for one tag, which mac.PickRate asks
+// for every rate of the ladder on every poll. Each key holds the exact
+// bits of every input its value is computed from, and each value is
+// filled by the calls a cold query makes, so a hit returns the answer a
+// cold query computes, bit for bit. The geometry key is every input but
+// the rate: the AP, the tag device, the beam, the placement's four
+// numbers and the interferer generation. Keys hold pointers and
+// placement values, never the tag ID alone: the mobility runner mutates
+// a placement in place, and its new position must miss.
+type tagMemo struct {
+	ap                            *ap.AP
+	dev                           *tag.Tag
+	beam, dist, az, orient, extra uint64
+	gen                           uint64
+
+	// The rate-invariant gains, computed by the first cold query after
+	// their inputs moved (the AP must be steered first).
+	apGain, tagGain   float64 // AP gain toward the tag; tag monostatic gain
+	apStale, tagStale bool
+
+	// answers under this geometry, keyed on the rate fields SNR reads:
+	// the bit rate and alphabet (which fix the symbol rate) and the
+	// alphabet's efficiency. The coding flag never changes an answer.
+	answers [rateSlots]rateAnswer
+	filled  int // answers written since the geometry last changed
+	next    int // where the next lookup starts: one past the last hit
+}
+
+type rateAnswer struct {
+	bitRate, eff uint64
+	bits         int
+	name         string
+
+	// steered records that the query passed the capability checks and
+	// so steered the AP and evaluated the link budget.
+	steered, audible bool
+	snr              float64
+}
+
+// refresh keys the memo to a query's geometry. Any change clears the
+// per-rate answers and marks stale only the gains whose inputs moved:
+// a beam sweep keeps the tag gain, and a moved tag prices every rate
+// from one fresh pair of gains.
+func (m *tagMemo) refresh(n *Network, p *Placement, beamRad float64) {
+	beam := math.Float64bits(beamRad)
+	dist, az := math.Float64bits(p.DistanceM), math.Float64bits(p.AzimuthRad)
+	orient, extra := math.Float64bits(p.OrientationRad), math.Float64bits(p.ExtraLossDB)
+	if m.ap == n.AP && m.dev == p.Device && m.beam == beam && m.dist == dist &&
+		m.az == az && m.orient == orient && m.extra == extra && m.gen == n.gen {
+		return
+	}
+	m.apStale = m.apStale || m.ap != n.AP || m.beam != beam || m.az != az
+	m.tagStale = m.tagStale || m.dev != p.Device || m.orient != orient
+	m.ap, m.dev, m.beam, m.dist, m.az, m.orient, m.extra, m.gen =
+		n.AP, p.Device, beam, dist, az, orient, extra, n.gen
+	m.filled, m.next = 0, 0
+}
+
+// gains returns the rate-invariant gains for the memo's geometry,
+// recomputing the stale ones. The AP must be steered at the memo's beam.
+func (m *tagMemo) gains(n *Network, p *Placement) (apGain, tagGain float64) {
+	if m.apStale {
+		m.apGain, m.apStale = n.AP.GainToward(p.AzimuthRad), false
+	}
+	if m.tagStale {
+		m.tagGain, m.tagStale = p.Device.Array().MonostaticGain(p.OrientationRad), false
+	}
+	return m.apGain, m.tagGain
+}
+
+// answer returns the memo's entry for a rate and whether it was already
+// filled. On a miss it claims a slot, overwriting the oldest once all
+// are in use. The scan starts one past the last hit, where PickRate's
+// walk up the ladder usually finds the next rate.
+func (m *tagMemo) answer(r mac.Rate) (*rateAnswer, bool) {
+	bitRate, eff := math.Float64bits(r.BitRate), math.Float64bits(r.Mod.Efficiency)
+	used := min(m.filled, rateSlots)
+	for k, i := 0, m.next; k < used; k, i = k+1, i+1 {
+		if i >= used {
+			i = 0
+		}
+		if a := &m.answers[i]; a.bitRate == bitRate && a.eff == eff &&
+			a.bits == r.Mod.BitsPerSymbol && a.name == r.Mod.Name {
+			m.next = i + 1
+			return a, true
+		}
+	}
+	i := m.filled % rateSlots
+	m.filled++
+	m.next = i + 1
+	a := &m.answers[i]
+	*a = rateAnswer{bitRate: bitRate, eff: eff, bits: r.Mod.BitsPerSymbol, name: r.Mod.Name}
+	return a, false
+}
+
+// gainReflector is the cold query Link's reflector: the queried tag's
+// array with its monostatic gain taken from the tag memo. The Link only
+// evaluates it at the placement's orientation, which the memo keys on.
+type gainReflector struct {
+	arr  *vanatta.Array
+	gain float64
 }
 
 // MonostaticGain implements vanatta.Reflector.
-func (m *reflMemo) MonostaticGain(theta float64) float64 {
-	bits := math.Float64bits(theta)
-	if m.key == nil || m.key != m.arr || m.theta != bits {
-		m.key, m.theta, m.gain = m.arr, bits, m.arr.MonostaticGain(theta)
-	}
-	return m.gain
-}
+func (g *gainReflector) MonostaticGain(float64) float64 { return g.gain }
 
 // Name implements vanatta.Reflector.
-func (m *reflMemo) Name() string { return m.arr.Name() }
+func (g *gainReflector) Name() string { return g.arr.Name() }
 
 // NewNetwork builds an empty network around an AP. A nil pathloss means
 // free space at the AP's carrier.
@@ -142,7 +221,7 @@ func NewNetwork(a *ap.AP, pl channel.PathLoss) (*Network, error) {
 	if pl == nil {
 		pl = channel.FreeSpace{FreqHz: a.Config().FreqHz}
 	}
-	return &Network{AP: a, PathLoss: pl, tags: make(map[uint8]*Placement)}, nil
+	return &Network{AP: a, PathLoss: pl}, nil
 }
 
 // Instrument meters the network's link-budget activity into the
@@ -169,30 +248,33 @@ func (n *Network) AddTag(p Placement) error {
 		return fmt.Errorf("sim: tag distance must be positive, got %g", p.DistanceM)
 	}
 	id := p.Device.ID()
-	if _, dup := n.tags[id]; dup {
+	if n.tags[id] != nil {
 		return fmt.Errorf("sim: duplicate tag ID %d", id)
 	}
-	n.tags[id] = &p
-	n.memo = queryMemo{}
+	n.tags[id] = &tagSlot{p: p}
+	n.ntags++
 	return nil
 }
 
 // TagCount returns the number of placed tags.
-func (n *Network) TagCount() int { return len(n.tags) }
+func (n *Network) TagCount() int { return n.ntags }
 
 // Placement returns a tag's placement.
 func (n *Network) Placement(id uint8) (*Placement, bool) {
-	p, ok := n.tags[id]
-	return p, ok
+	if s := n.tags[id]; s != nil {
+		return &s.p, true
+	}
+	return nil, false
 }
 
 // Tags implements mac.Medium.
 func (n *Network) Tags() []uint8 {
-	out := make([]uint8, 0, len(n.tags))
-	for id := range n.tags {
-		out = append(out, id)
+	out := make([]uint8, 0, n.ntags)
+	for id, s := range n.tags {
+		if s != nil {
+			out = append(out, uint8(id))
+		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 
@@ -202,7 +284,8 @@ func (n *Network) AddInterferer(i Interferer) error {
 		return fmt.Errorf("sim: interferer needs positive distance and EIRP")
 	}
 	n.interferers = append(n.interferers, i)
-	n.memo = queryMemo{}
+	n.interf = [1 << interfSlotBits]interfMemo{}
+	n.gen++
 	return nil
 }
 
@@ -210,7 +293,7 @@ func (n *Network) AddInterferer(i Interferer) error {
 // victim receiver with the AP steered at beamRad, memoized per beam.
 func (n *Network) interferenceW(beamRad float64) float64 {
 	bits := math.Float64bits(beamRad)
-	m := &n.memo.interf[(bits*0x9e3779b97f4a7c15)>>(64-interfSlotBits)]
+	m := &n.interf[(bits*0x9e3779b97f4a7c15)>>(64-interfSlotBits)]
 	if m.ap == n.AP && m.beam == bits {
 		return m.w
 	}
@@ -223,30 +306,17 @@ func (n *Network) interferenceW(beamRad float64) float64 {
 	return total
 }
 
-// apGain returns the AP gain toward azRad with the AP steered at
-// beamRad, memoized for the last (beam, azimuth).
-func (n *Network) apGain(beamRad, azRad float64) float64 {
-	beam, az := math.Float64bits(beamRad), math.Float64bits(azRad)
-	m := &n.memo.apGain
-	if m.ap != n.AP || m.beam != beam || m.az != az {
-		*m = gainMemo{ap: n.AP, beam: beam, az: az, gain: n.AP.GainToward(azRad)}
-	}
-	return m.gain
-}
-
-// link assembles the budget for a tag under a given beam and modulation
-// efficiency into the network's query Link, which stays valid until the
-// next query.
-func (n *Network) link(p *Placement, beamRad, efficiency float64) *channel.Link {
-	n.AP.Steer(beamRad)
-	n.memo.refl.arr = p.Device.Array()
+// budget assembles the link budget for a tag, with the AP already
+// steered at beamRad, into the network's query Link, which stays valid
+// until the next query.
+func (n *Network) budget(p *Placement, beamRad, apGain float64, refl vanatta.Reflector, efficiency float64) *channel.Link {
 	n.query = channel.Link{
 		Obs:           n.linkObs,
 		InterferenceW: n.interferenceW(beamRad),
 		FreqHz:        n.AP.Config().FreqHz,
 		TxPowerW:      n.AP.Config().TxPowerW,
-		APGain:        n.apGain(beamRad, p.AzimuthRad),
-		Reflector:     &n.memo.refl,
+		APGain:        apGain,
+		Reflector:     refl,
 		TagAngleRad:   p.OrientationRad,
 		DistanceM:     p.DistanceM,
 		PathLoss:      n.PathLoss,
@@ -259,20 +329,43 @@ func (n *Network) link(p *Placement, beamRad, efficiency float64) *channel.Link 
 
 // SNR implements mac.Medium: the uplink SNR in the rate's symbol-rate
 // noise bandwidth, plus whether the tag's envelope detector hears the
-// query at all. Rates the tag hardware cannot produce — a different
-// alphabet than its switch network implements, or a symbol rate beyond
-// its switch rise time — report as inaudible so the MAC never selects
-// them.
+// query at all. Repeated questions are answered from the tag's memo; a
+// hit steers the AP and meters the budget evaluation as the cold query
+// did.
 func (n *Network) SNR(tagID uint8, beamRad float64, r mac.Rate) (float64, bool) {
 	n.snrQueries.Inc()
-	p, ok := n.tags[tagID]
-	if !ok {
+	s := n.tags[tagID]
+	if s == nil {
 		n.inaudible.Inc()
 		return 0, false
 	}
-	if r.SymbolRate() > p.Device.MaxSymbolRate() {
+	s.memo.refresh(n, &s.p, beamRad)
+	a, hit := s.memo.answer(r)
+	if !hit {
+		a.steered, a.snr, a.audible = n.price(s, beamRad, r)
+	} else if a.steered {
+		n.AP.Steer(beamRad)
+		if a.audible {
+			n.linkObs.Observe(a.snr)
+		}
+	}
+	if !a.audible {
 		n.inaudible.Inc()
 		return 0, false
+	}
+	return a.snr, true
+}
+
+// price answers a query cold. Rates the tag hardware cannot produce — a
+// different alphabet than its switch network implements, or a symbol
+// rate beyond its switch rise time — report as inaudible without
+// steering the AP, so the MAC never selects them. Otherwise it steers
+// the AP and evaluates the link budget: whether the tag's envelope
+// detector hears the AP, and the SNR in the symbol-rate bandwidth.
+func (n *Network) price(s *tagSlot, beamRad float64, r mac.Rate) (steered bool, snr float64, audible bool) {
+	p := &s.p
+	if r.SymbolRate() > p.Device.MaxSymbolRate() {
+		return false, 0, false
 	}
 	// Alphabet capability: a rate is usable natively when it names the
 	// tag's own alphabet, and any 1-bit/symbol rate is usable on any tag
@@ -280,35 +373,37 @@ func (n *Network) SNR(tagID uint8, beamRad float64, r mac.Rate) (float64, bool) 
 	// mechanism the sync preamble uses). Higher-order rates on a tag
 	// without that switch network are not producible.
 	if r.Mod.Name != p.Device.Modulation().Name() && r.Mod.BitsPerSymbol != 1 {
-		n.inaudible.Inc()
-		return 0, false
+		return false, 0, false
 	}
 	eff := r.Mod.Efficiency
 	if eff <= 0 || eff > 1 {
 		eff = 1
 	}
-	l := n.link(p, beamRad, eff)
+	n.AP.Steer(beamRad)
+	apGain, tagGain := s.memo.gains(n, p)
+	n.refl = gainReflector{arr: p.Device.Array(), gain: tagGain}
+	l := n.budget(p, beamRad, apGain, &n.refl, eff)
 	incident, err := l.TagIncidentPowerW()
 	if err != nil || !p.Device.CanHear(incident) {
-		n.inaudible.Inc()
-		return 0, false
+		return true, 0, false
 	}
-	snr, err := l.SNR(r.SymbolRate())
+	snr, err = l.SNR(r.SymbolRate())
 	if err != nil {
-		n.inaudible.Inc()
-		return 0, false
+		return true, 0, false
 	}
-	return snr, true
+	return true, snr, true
 }
 
 // UplinkSNRdB returns the budget SNR in dB for diagnostics/experiments,
 // steering the beam straight at the tag.
 func (n *Network) UplinkSNRdB(tagID uint8, bandwidthHz, efficiency float64) (float64, error) {
-	p, ok := n.tags[tagID]
+	p, ok := n.Placement(tagID)
 	if !ok {
 		return 0, fmt.Errorf("sim: unknown tag %d", tagID)
 	}
-	return n.link(p, p.AzimuthRad, efficiency).SNRdB(bandwidthHz)
+	n.AP.Steer(p.AzimuthRad)
+	apGain := n.AP.GainToward(p.AzimuthRad)
+	return n.budget(p, p.AzimuthRad, apGain, p.Device.Array(), efficiency).SNRdB(bandwidthHz)
 }
 
 // SDMGroups partitions the known tag IDs into groups that can be served
@@ -323,7 +418,7 @@ func (n *Network) SDMGroups(ids []uint8, minSepRad float64) [][]uint8 {
 	}
 	entries := make([]entry, 0, len(ids))
 	for _, id := range ids {
-		if p, ok := n.tags[id]; ok {
+		if p, ok := n.Placement(id); ok {
 			entries = append(entries, entry{id, p.AzimuthRad})
 		}
 	}
