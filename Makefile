@@ -8,12 +8,16 @@ check: fmt vet build race docs
 
 # Documentation and API-shape gates: every package has a doc comment
 # (internal ones citing their DESIGN.md section), every relative
-# markdown link resolves, and no kernel has a twin entry point (a func
-# X beside XTo, XWith, XKern, XFast or XBatch).
+# markdown link resolves, no kernel has a twin entry point (a func X
+# beside XTo, XWith, XKern, XFast or XBatch), and every function under
+# internal/ is reached by some program (cmd/*, examples/*, perfbench or
+# the root package's API) or named with a reason in
+# scripts/reach_allow.txt.
 docs:
 	sh scripts/pkgdoc_lint.sh
 	sh scripts/mdlink_check.sh
 	sh scripts/twin_lint.sh
+	sh scripts/reach_lint.sh
 
 # Non-test Go lines per package, then the total — the figure deletion
 # work reports in CHANGES.md. PKGS narrows it, e.g.
@@ -105,3 +109,4 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzTierSelection -fuzztime 10s ./internal/link/
 	$(GO) test -run xxx -fuzz FuzzLinkBudgetOutcome -fuzztime 10s ./internal/link/
 	$(GO) test -run xxx -fuzz FuzzOffsetImmunePeak -fuzztime 10s ./internal/dsp/
+	$(GO) test -run xxx -fuzz FuzzTagIDParity -fuzztime 10s ./internal/router/

@@ -15,132 +15,78 @@ import (
 
 const benchSeed = 42
 
-func benchTable(b *testing.B, run func() (*eval.Table, error)) {
+// benchExperiment regenerates one experiment's tables per iteration
+// through the suite registry, as cmd/mmtag-bench -experiment does.
+func benchExperiment(b *testing.B, id string) {
 	b.Helper()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		t, err := run()
+		tabs, err := eval.RunExperiment(eval.Exec{}, id, nil, benchSeed)
 		if err != nil {
 			b.Fatal(err)
 		}
-		if len(t.Rows) == 0 {
-			b.Fatal("empty table")
+		if len(tabs) == 0 {
+			b.Fatal("no tables")
+		}
+		for _, t := range tabs {
+			if len(t.Rows) == 0 {
+				b.Fatalf("%s: empty table %q", id, t.Title)
+			}
 		}
 	}
 }
 
-func BenchmarkE1RetroPattern(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E1RetroPattern(nil) })
-}
+func BenchmarkE1RetroPattern(b *testing.B) { benchExperiment(b, "E1") }
 
-func BenchmarkE2LinkBudget(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E2LinkBudget(nil) })
-}
+func BenchmarkE2LinkBudget(b *testing.B) { benchExperiment(b, "E2") }
 
-func BenchmarkE3BERvsEbN0(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E3BERvsEbN0(benchSeed) })
-}
+func BenchmarkE3BERvsEbN0(b *testing.B) { benchExperiment(b, "E3") }
 
-func BenchmarkE4BERvsDistance(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E4BERvsDistance(nil) })
-}
+func BenchmarkE4BERvsDistance(b *testing.B) { benchExperiment(b, "E4") }
 
-func BenchmarkE5Throughput(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E5Throughput(nil) })
-}
+func BenchmarkE5Throughput(b *testing.B) { benchExperiment(b, "E5") }
 
-func BenchmarkE6AngleRobustness(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E6AngleRobustness(nil) })
-}
+func BenchmarkE6AngleRobustness(b *testing.B) { benchExperiment(b, "E6") }
 
-func BenchmarkE7MultiTag(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E7MultiTag(nil, benchSeed) })
-}
+func BenchmarkE7MultiTag(b *testing.B) { benchExperiment(b, "E7") }
 
-func BenchmarkE8EnergyPerBit(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E8EnergyPerBit(nil) })
-}
+func BenchmarkE8EnergyPerBit(b *testing.B) { benchExperiment(b, "E8") }
 
-func BenchmarkE9Cancellation(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E9Cancellation(nil, benchSeed) })
-}
+func BenchmarkE9Cancellation(b *testing.B) { benchExperiment(b, "E9") }
 
-func BenchmarkE10Discovery(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E10Discovery(nil, benchSeed) })
-}
+func BenchmarkE10Discovery(b *testing.B) { benchExperiment(b, "E10") }
 
-func BenchmarkE11SwitchLimit(b *testing.B) {
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		tabs, err := eval.E11SwitchLimit(nil, benchSeed)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if len(tabs) != 2 {
-			b.Fatal("E11 must produce two tables")
-		}
-	}
-}
+func BenchmarkE11SwitchLimit(b *testing.B) { benchExperiment(b, "E11") }
 
-func BenchmarkE12CodedPER(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E12CodedPER(benchSeed) })
-}
+func BenchmarkE12CodedPER(b *testing.B) { benchExperiment(b, "E12") }
 
-func BenchmarkE13BatteryFree(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E13BatteryFree(nil) })
-}
+func BenchmarkE13BatteryFree(b *testing.B) { benchExperiment(b, "E13") }
 
-func BenchmarkE14DiscoveryAblation(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E14DiscoveryAblation(nil, benchSeed) })
-}
+func BenchmarkE14DiscoveryAblation(b *testing.B) { benchExperiment(b, "E14") }
 
-func BenchmarkE15Blockage(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E15Blockage(nil, benchSeed) })
-}
+func BenchmarkE15Blockage(b *testing.B) { benchExperiment(b, "E15") }
 
-func BenchmarkE16Multipath(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E16Multipath(benchSeed) })
-}
+func BenchmarkE16Multipath(b *testing.B) { benchExperiment(b, "E16") }
 
-func BenchmarkE17Interference(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E17Interference(nil, benchSeed) })
-}
+func BenchmarkE17Interference(b *testing.B) { benchExperiment(b, "E17") }
 
-func BenchmarkE18RoomClutter(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E18RoomClutter(nil) })
-}
+func BenchmarkE18RoomClutter(b *testing.B) { benchExperiment(b, "E18") }
 
-func BenchmarkE19APScaling(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E19APScaling(benchSeed) })
-}
+func BenchmarkE19APScaling(b *testing.B) { benchExperiment(b, "E19") }
 
-func BenchmarkE20HandoffLatency(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E20HandoffLatency(benchSeed) })
-}
+func BenchmarkE20HandoffLatency(b *testing.B) { benchExperiment(b, "E20") }
 
-func BenchmarkE21EdgeReuse(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E21EdgeReuse(benchSeed) })
-}
+func BenchmarkE21EdgeReuse(b *testing.B) { benchExperiment(b, "E21") }
 
-func BenchmarkE22ScaleTiers(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.E22ScaleTiers(benchSeed) })
-}
+func BenchmarkE22ScaleTiers(b *testing.B) { benchExperiment(b, "E22") }
 
-func BenchmarkA1RangeVsArraySize(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.A1RangeVsArraySize(nil) })
-}
+func BenchmarkA1RangeVsArraySize(b *testing.B) { benchExperiment(b, "A1") }
 
-func BenchmarkA2SDMChains(b *testing.B) {
-	benchTable(b, func() (*eval.Table, error) { return eval.A2SDMChains(nil, benchSeed) })
-}
+func BenchmarkA2SDMChains(b *testing.B) { benchExperiment(b, "A2") }
 
-func BenchmarkT2PowerBreakdown(b *testing.B) {
-	benchTable(b, eval.T2PowerBreakdown)
-}
+func BenchmarkT2PowerBreakdown(b *testing.B) { benchExperiment(b, "T2") }
 
-func BenchmarkT3EnergyCompare(b *testing.B) {
-	benchTable(b, eval.T3EnergyCompare)
-}
+func BenchmarkT3EnergyCompare(b *testing.B) { benchExperiment(b, "T3") }
 
 // BenchmarkSuiteSerial regenerates every evaluation table on the
 // calling goroutine — the reference cost of a full `mmtag-bench` run.

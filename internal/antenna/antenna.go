@@ -1,7 +1,7 @@
-// Package antenna models the antennas used by the mmTag simulator: element
-// patterns (isotropic, microstrip patch, horn) and uniform linear arrays
-// with electronic steering, as used by the access point for beam-swept tag
-// discovery and space-division multiplexing.
+// Package antenna models the antennas used by the mmTag simulator:
+// element patterns (isotropic, microstrip patch) and uniform linear
+// arrays with electronic steering, as used by the access point for
+// beam-swept tag discovery and space-division multiplexing.
 //
 // Angles are in radians measured from array broadside unless a name says
 // degrees. Gains returned by Gain methods are linear power ratios
@@ -63,39 +63,6 @@ func (p Patch) Gain(theta float64) float64 {
 
 // PeakGain returns the boresight gain.
 func (p Patch) PeakGain() float64 { return p.G0 }
-
-// Horn models a directional horn (the AP antenna in the reconstructed
-// testbed) with a Gaussian main lobe and a constant sidelobe floor.
-type Horn struct {
-	G0           float64 // boresight linear gain
-	BeamwidthRad float64 // half-power beamwidth, radians
-	SidelobeDB   float64 // sidelobe floor relative to peak, dB (negative)
-}
-
-// NewHorn returns a horn with the given boresight gain (dBi) and
-// half-power beamwidth in degrees, with -25 dB sidelobes.
-func NewHorn(gainDBi, beamwidthDeg float64) Horn {
-	return Horn{
-		G0:           math.Pow(10, gainDBi/10),
-		BeamwidthRad: beamwidthDeg * math.Pi / 180,
-		SidelobeDB:   -25,
-	}
-}
-
-// Gain returns the horn pattern at theta from boresight.
-func (h Horn) Gain(theta float64) float64 {
-	// Gaussian beam: -3 dB at theta = beamwidth/2.
-	x := theta / (h.BeamwidthRad / 2)
-	g := h.G0 * math.Pow(2, -x*x)
-	floor := h.G0 * math.Pow(10, h.SidelobeDB/10)
-	if g < floor {
-		return floor
-	}
-	return g
-}
-
-// PeakGain returns the boresight gain.
-func (h Horn) PeakGain() float64 { return h.G0 }
 
 // ULA is a uniform linear array of identical elements with electronic
 // phase steering, the model for the AP's phased array.

@@ -43,22 +43,6 @@ func TestPatchPattern(t *testing.T) {
 	}
 }
 
-func TestHornPattern(t *testing.T) {
-	h := NewHorn(20, 18)
-	if g := 10 * math.Log10(h.Gain(0)); math.Abs(g-20) > 0.01 {
-		t.Fatalf("horn boresight %g dBi", g)
-	}
-	// Half-power at half the beamwidth.
-	halfBW := Deg(18) / 2
-	if g := 10 * math.Log10(h.Gain(halfBW)); math.Abs(g-17) > 0.05 {
-		t.Fatalf("gain at half beamwidth %g dB, want 17", g)
-	}
-	// Sidelobe floor 25 dB below peak.
-	if g := 10 * math.Log10(h.Gain(math.Pi/2)); math.Abs(g-(-5)) > 0.05 {
-		t.Fatalf("sidelobe floor %g dB, want -5", g)
-	}
-}
-
 func TestULAErrors(t *testing.T) {
 	if _, err := NewULA(Isotropic{}, 0, 0.5); err == nil {
 		t.Fatal("zero elements must error")

@@ -119,7 +119,7 @@ func TestDemodulateEqualizedMatchesOracle(t *testing.T) {
 		t.Helper()
 		got := dem.DemodulateEqualized(w, sps, taps)
 		want := dem.demodulateEqualized(w, sps, taps, func(syms *dsp.Batch, ar *dsp.Arena) (int, float64) {
-			return offsetImmunePeak(syms.Lane(0), dem.preKern, ar)
+			return offsetImmunePeak(syms.Lane(0), dem.centredPre, ar)
 		})
 		if !reflect.DeepEqual(got, want) {
 			t.Fatalf("%s, %d taps:\nkernel: %+v\noracle: %+v", what, taps, got, want)

@@ -142,9 +142,6 @@ func NewDemodulator(c *phy.Constellation, preambleLen int, opts frame.Options) (
 	}, nil
 }
 
-// PreambleLen returns the preamble length in symbols.
-func (d *Demodulator) PreambleLen() int { return len(d.preambleBits) }
-
 // PreambleSymbolIndices returns the alphabet symbol indices the tag
 // modulates for the preamble.
 func (d *Demodulator) PreambleSymbolIndices() []int {

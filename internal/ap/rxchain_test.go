@@ -195,7 +195,7 @@ func TestNewDemodulatorValidation(t *testing.T) {
 		t.Fatal("tiny preamble must error")
 	}
 	d, err := NewDemodulator(c, 31, frame.Options{})
-	if err != nil || d.PreambleLen() != 31 {
+	if err != nil || len(d.preambleBits) != 31 {
 		t.Fatalf("valid demodulator: %v", err)
 	}
 }

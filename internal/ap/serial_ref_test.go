@@ -38,7 +38,7 @@ func (d *Demodulator) demodulateSerial(rx []complex128, sps int) UplinkResult {
 		if len(syms) < len(d.centredPre)+1 {
 			continue
 		}
-		lag, score := offsetImmunePeak(syms, d.preKern, ar)
+		lag, score := offsetImmunePeak(syms, d.centredPre, ar)
 		if score > bestScore {
 			bestLag, bestScore = lag, score
 			bestSyms = syms
@@ -76,13 +76,12 @@ func (d *Demodulator) demodulateSerial(rx []complex128, sps int) UplinkResult {
 }
 
 // offsetImmunePeak is the full-correlation preamble scorer: correlate x
-// against the zero-mean reference of kern, then normalize each window by
+// against the zero-mean reference ref, then normalize each window by
 // its own variance, so an arbitrarily large constant offset (the
 // uncancelled self-interference) neither shifts the peak nor deflates
 // the score. It is the oracle dsp.CorrKernel.OffsetImmunePeak is held
 // to; correlation and prefix-sum scratch come from ar.
-func offsetImmunePeak(x []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int, float64) {
-	ref := kern.Ref()
+func offsetImmunePeak(x []complex128, ref []complex128, ar *dsp.Arena) (int, float64) {
 	m := len(ref)
 	if m == 0 || len(x) < m {
 		return -1, 0
@@ -91,7 +90,7 @@ func offsetImmunePeak(x []complex128, kern *dsp.CorrKernel, ar *dsp.Arena) (int,
 	if refE == 0 {
 		return -1, 0
 	}
-	corr := kern.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ar)
+	corr := dsp.CrossCorrelateTo(ar.Complex(len(x)-m+1), x, ref, ar)
 	// Sliding window sum and energy via prefix sums.
 	prefSum := ar.Complex(len(x) + 1)
 	prefSum[0] = 0

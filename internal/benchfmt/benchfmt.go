@@ -147,20 +147,3 @@ func Compare(cur, base *Report, nsTolPct, allocsTolPct float64) []string {
 	}
 	return problems
 }
-
-// MergeRows replaces base's rows from cur's suites with cur's rows and
-// returns the union, preserving baseline rows from other suites — the
-// update path for refreshing one suite of a combined BENCH file.
-func MergeRows(base, cur *Report) []Result {
-	suites := make(map[string]bool)
-	for _, b := range cur.Benchmarks {
-		suites[b.Suite] = true
-	}
-	out := make([]Result, 0, len(base.Benchmarks)+len(cur.Benchmarks))
-	for _, b := range base.Benchmarks {
-		if !suites[b.Suite] {
-			out = append(out, b)
-		}
-	}
-	return append(out, cur.Benchmarks...)
-}

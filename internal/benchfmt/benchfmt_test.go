@@ -80,26 +80,6 @@ func TestCompareSuiteScoping(t *testing.T) {
 	}
 }
 
-func TestMergeRows(t *testing.T) {
-	base := combined()
-	fresh := &Report{Benchmarks: []Result{
-		{Name: "LOAD/mix", Suite: "load", NsOp: 4_000_000, Rows: 0},
-		{Name: "LOAD/extra", Suite: "load", NsOp: 1_000_000, Rows: 0},
-	}}
-	merged := MergeRows(base, fresh)
-	if len(merged) != 4 {
-		t.Fatalf("merged = %d rows, want 4: %+v", len(merged), merged)
-	}
-	for _, r := range merged {
-		if r.Suite == "load" && r.Name == "LOAD/mix" && r.NsOp != 4_000_000 {
-			t.Fatalf("stale load row survived merge: %+v", r)
-		}
-		if r.Suite == "" && (r.Name != "E1" && r.Name != "E2") {
-			t.Fatalf("eval row corrupted: %+v", r)
-		}
-	}
-}
-
 func TestWriteLoadRoundTripOmitsEmptySuite(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_x.json")
 	want := combined()

@@ -86,11 +86,50 @@ func TestNoiseFor(t *testing.T) {
 	NoiseFor(1, 0)
 }
 
+// toneFrequency measures the frequency (Hz) of a clean complex tone from
+// its mean sample-to-sample phase advance.
+func toneFrequency(x []complex128, sampleRate float64) float64 {
+	var acc complex128
+	for i := 1; i < len(x); i++ {
+		acc += x[i] * cmplx.Conj(x[i-1])
+	}
+	return cmplx.Phase(acc) / (2 * math.Pi) * sampleRate
+}
+
+// spectrumPeak returns the largest bin of the rectangular-window
+// periodogram |DFT(x)|²/len(x); len(x) must be a power of two.
+func spectrumPeak(x []complex128) float64 {
+	var dft func(x []complex128) []complex128
+	dft = func(x []complex128) []complex128 {
+		n := len(x)
+		if n == 1 {
+			return []complex128{x[0]}
+		}
+		even := make([]complex128, n/2)
+		odd := make([]complex128, n/2)
+		for i := 0; i < n/2; i++ {
+			even[i], odd[i] = x[2*i], x[2*i+1]
+		}
+		e, o := dft(even), dft(odd)
+		out := make([]complex128, n)
+		for k := 0; k < n/2; k++ {
+			w := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n))) * o[k]
+			out[k], out[k+n/2] = e[k]+w, e[k]-w
+		}
+		return out
+	}
+	peak := 0.0
+	for _, v := range dft(x) {
+		peak = math.Max(peak, (real(v)*real(v)+imag(v)*imag(v))/float64(len(x)))
+	}
+	return peak
+}
+
 func TestApplyCFOShiftsSpectrum(t *testing.T) {
 	fs := 1e6
 	x := dsp.Tone(100e3, fs, 4096, 0)
 	ApplyCFO(x, 50e3, fs, 0)
-	got := dsp.DominantFrequency(x, fs)
+	got := toneFrequency(x, fs)
 	if math.Abs(got-150e3) > 100 {
 		t.Fatalf("CFO-shifted frequency %g, want 150 kHz", got)
 	}
@@ -129,18 +168,7 @@ func TestPhaseNoiseBroadensLinewidth(t *testing.T) {
 	dirty := dsp.Tone(0, fs, 16384, 0)
 	PhaseNoise(rng, dirty, 50e3, fs)
 	// The clean tone concentrates power in one bin; the noisy one leaks.
-	cp := dsp.Periodogram(clean, dsp.Rectangular)
-	dp := dsp.Periodogram(dirty, dsp.Rectangular)
-	peak := func(p []float64) float64 {
-		m := 0.0
-		for _, v := range p {
-			if v > m {
-				m = v
-			}
-		}
-		return m
-	}
-	if peak(dp) > peak(cp)/2 {
+	if spectrumPeak(dirty) > spectrumPeak(clean)/2 {
 		t.Fatal("phase noise should spread the tone across bins")
 	}
 	// Zero linewidth is a no-op.
@@ -293,18 +321,24 @@ func TestBlockageClampsRanges(t *testing.T) {
 }
 
 func TestAWGNSNRConsistency(t *testing.T) {
-	// End-to-end consistency: signal at power P with NoiseFor(P, snr)
-	// measures back the requested SNR via spectral estimation.
+	// End-to-end consistency: a unit-power tone plus AWGN at power 1/snr
+	// measures back the requested SNR from the noise actually added.
 	f := func(snrDBRaw uint8) bool {
 		snrDB := float64(snrDBRaw%20) + 5
 		rng := rand.New(rand.NewSource(int64(snrDBRaw)))
-		fs := 1e6
 		n := 8192
-		x := dsp.Tone(fs*64/float64(n), fs, n, 0)
+		x := make([]complex128, n)
+		for i := range x {
+			x[i] = cmplx.Exp(complex(0, 2*math.Pi*64*float64(i)/float64(n)))
+		}
+		clean := append([]complex128(nil), x...)
 		snr := math.Pow(10, snrDB/10)
-		AWGN(rng, x, NoiseFor(1, snr))
-		got := 10 * math.Log10(dsp.SNREstimate(x, 2))
-		return math.Abs(got-snrDB) < 2
+		AWGN(rng, x, 1/snr)
+		for i := range x {
+			x[i] -= clean[i]
+		}
+		got := 10 * math.Log10(dsp.Power(clean)/dsp.Power(x))
+		return math.Abs(got-snrDB) < 0.2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
 		t.Fatal(err)

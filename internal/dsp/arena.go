@@ -44,9 +44,6 @@ func bucketFor(n int) int {
 	return bits.Len(uint(n - 1))
 }
 
-// NewArena returns an empty arena. The zero value is also usable.
-func NewArena() *Arena { return &Arena{} }
-
 // Complex borrows a []complex128 of length n with undefined contents.
 func (a *Arena) Complex(n int) []complex128 {
 	if a == nil {

@@ -3,7 +3,7 @@ package dsp
 import "testing"
 
 func TestArenaReusesBuffers(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	b1 := a.Complex(100)
 	p1 := &b1[:1][0]
 	a.PutComplex(b1)
@@ -17,7 +17,7 @@ func TestArenaReusesBuffers(t *testing.T) {
 }
 
 func TestArenaBucketCapacity(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	for _, n := range []int{0, 1, 2, 3, 63, 64, 65, 1000, 4096} {
 		buf := a.Complex(n)
 		if len(buf) != n {
@@ -31,7 +31,7 @@ func TestArenaBucketCapacity(t *testing.T) {
 }
 
 func TestArenaZeroed(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	buf := a.Complex(64)
 	for i := range buf {
 		buf[i] = 1 + 2i // dirty it
@@ -48,7 +48,7 @@ func TestArenaZeroed(t *testing.T) {
 func TestArenaForeignCapacity(t *testing.T) {
 	// A non-power-of-two foreign slice lands in the bucket its capacity
 	// fully covers, so later borrows still satisfy cap >= n.
-	a := NewArena()
+	a := new(Arena)
 	a.PutComplex(make([]complex128, 100)) // cap 100 -> bucket 6 (>= 64)
 	got := a.Complex(64)
 	if cap(got) < 64 {
@@ -75,7 +75,7 @@ func TestArenaNilSafe(t *testing.T) {
 }
 
 func TestArenaTypedListsIndependent(t *testing.T) {
-	a := NewArena()
+	a := new(Arena)
 	c := a.Complex(32)
 	f := a.Float(32)
 	is := a.Ints(32)

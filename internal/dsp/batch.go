@@ -184,75 +184,6 @@ func (p *Plan) radix2Batch(buf []complex128, lanes int, inverse bool) {
 	}
 }
 
-// FFTBatchTo writes, for every lane of x, the n-point DFT of that
-// lane's first n samples into the corresponding lane of dst (length n).
-// Every lane of x must be at least n long. Results are bit-identical to
-// per-lane FFTTo; power-of-two sizes sweep all lanes through the shared
-// plan in one interleaved arena pass, other sizes fall back to per-lane
-// Bluestein transforms. dst and x must have the same lane count and may
-// be the same batch.
-func FFTBatchTo(dst, x *Batch, n int, ar *Arena) {
-	fftBatchTo(dst, x, n, false, ar)
-}
-
-// IFFTBatchTo is FFTBatchTo for the inverse transform, bit-identical to
-// per-lane IFFTTo.
-func IFFTBatchTo(dst, x *Batch, n int, ar *Arena) {
-	fftBatchTo(dst, x, n, true, ar)
-}
-
-func fftBatchTo(dst, x *Batch, n int, inverse bool, ar *Arena) {
-	lanes := x.Lanes()
-	if dst.Lanes() != lanes {
-		panic("dsp: batch lane count mismatch")
-	}
-	if lanes == 0 || n == 0 {
-		return
-	}
-	p := PlanFFT(n)
-	if p.blu != nil {
-		for l := 0; l < lanes; l++ {
-			src := x.Lane(l)[:n]
-			dst.SetLaneLen(l, n)
-			if inverse {
-				p.IFFTTo(dst.LaneCap(l)[:n], src)
-			} else {
-				p.FFTTo(dst.LaneCap(l)[:n], src)
-			}
-		}
-		return
-	}
-	for lo := 0; lo < lanes; lo += maxGroupLanes(n) {
-		hi := lo + maxGroupLanes(n)
-		if hi > lanes {
-			hi = lanes
-		}
-		chunk := hi - lo
-		buf := ar.Complex(n * chunk)
-		for l := 0; l < chunk; l++ {
-			src := x.Lane(lo + l)[:n]
-			for i, v := range src {
-				buf[i*chunk+l] = v
-			}
-		}
-		p.radix2Batch(buf, chunk, inverse)
-		if inverse {
-			scale := complex(1/float64(n), 0)
-			for i := 0; i < n*chunk; i++ {
-				buf[i] *= scale
-			}
-		}
-		for l := 0; l < chunk; l++ {
-			dst.SetLaneLen(lo+l, n)
-			out := dst.LaneCap(lo + l)[:n]
-			for i := range out {
-				out[i] = buf[i*chunk+l]
-			}
-		}
-		ar.PutComplex(buf)
-	}
-}
-
 // CrossCorrelateBatch correlates every lane of x against the kernel's
 // reference, writing lane l's valid-lag correlation row (length
 // len(x.Lane(l)) - m + 1) into lane l of out. Lanes shorter than the

@@ -12,7 +12,7 @@ import (
 // correlation row from CrossCorrelateTo, then every lag scored as
 // |c| / sqrt(varE * Energy(ref)), the first strict maximum winning.
 func fullPeak(kn *CorrKernel, x []complex128) (int, float64) {
-	ref := kn.Ref()
+	ref := kn.ref
 	m := len(ref)
 	if m == 0 || len(x) < m {
 		return -1, 0
@@ -21,7 +21,7 @@ func fullPeak(kn *CorrKernel, x []complex128) (int, float64) {
 	if refE == 0 {
 		return -1, 0
 	}
-	corr := kn.CrossCorrelateTo(nil, x, nil)
+	corr := CrossCorrelateTo(nil, x, kn.ref, nil)
 	prefSum := make([]complex128, len(x)+1)
 	prefE := make([]float64, len(x)+1)
 	for i, v := range x {
@@ -74,8 +74,8 @@ func lanesBatch(lanes ...[]complex128) *Batch {
 // under the direct-form threshold, the full row otherwise.
 func lanePeakOf(kn *CorrKernel, x []complex128, floor float64, ar *Arena) (int, float64) {
 	var row []complex128
-	if m := len(kn.Ref()); kn.nvals == 0 || len(x)*m > directMaxWork {
-		row = kn.CrossCorrelateTo(nil, x, nil)
+	if m := len(kn.ref); kn.nvals == 0 || len(x)*m > directMaxWork {
+		row = CrossCorrelateTo(nil, x, kn.ref, nil)
 	}
 	return kn.lanePeak(x, row, floor, ar)
 }
@@ -180,7 +180,7 @@ func TestOffsetImmunePeakMatchesFull(t *testing.T) {
 		if got := kn.nvals != 0; got != (rc.name != "random") {
 			t.Fatalf("%s: table path %v", rc.name, got)
 		}
-		ar := NewArena()
+		ar := new(Arena)
 		lane := func(n int, at []int, amps []float64, amp float64, dc complex128, sigma float64) []complex128 {
 			return peakLane(rng, n, rc.p0, rc.p1, at, amps, amp, dc, sigma)
 		}
@@ -229,7 +229,7 @@ func TestOffsetImmunePeakMatchesFull(t *testing.T) {
 // side, lanes too short or empty, and a reference without a table.
 func TestOffsetImmunePeakLanes(t *testing.T) {
 	rng := rand.New(rand.NewSource(66))
-	ar := NewArena()
+	ar := new(Arena)
 	for _, ref := range [][]complex128{centredPreamble(63, 1, 1i), randSignal(rng, 63)} {
 		kn := NewCorrKernel(ref)
 		lane := func(n int, at []int, amps []float64, sigma float64) []complex128 {
@@ -272,7 +272,7 @@ func TestOffsetImmunePeakTiesFirstWins(t *testing.T) {
 	if _, s2 := fullPeak(kn, x[second:second+63]); s2 != want {
 		t.Fatalf("copies score %v and %v, want a tie", want, s2)
 	}
-	ar := NewArena()
+	ar := new(Arena)
 	shifted := append([]complex128{7}, x...) // the same copies one lag later
 	lane, lag, score := kn.OffsetImmunePeak(lanesBatch(shifted, x, x), ar)
 	if lane != 0 || lag != first+1 || score != want {
@@ -311,7 +311,7 @@ func TestOffsetImmunePeakZeroAlloc(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(64))
 	kn := NewCorrKernel(centredPreamble(63, 1, 1i))
-	ar := NewArena()
+	ar := new(Arena)
 	for _, n := range []int{227, 700} {
 		x := lanesBatch(peakLane(rng, n, 1, 1i, []int{40}, []float64{1}, 1, 0.3, 0.05),
 			peakLane(rng, n, 1, 1i, []int{41}, []float64{1}, 1, 0.3, 0.05))
@@ -340,13 +340,13 @@ func FuzzOffsetImmunePeak(f *testing.F) {
 		NewCorrKernel(centredPreamble(31, 1, -1)),
 		NewCorrKernel(centredPreamble(12, 0.3-0.9i, -0.7+0.2i)),
 	}
-	ar := NewArena()
+	ar := new(Arena)
 	f.Fuzz(func(t *testing.T, seed int64, extra, shape uint8, amp, dcRe, dcIm, sigma, floor float64, raw []byte) {
 		kn := refs[int(shape)%len(refs)]
 		rng := rand.New(rand.NewSource(seed))
-		n := len(kn.Ref()) + int(extra)
+		n := len(kn.ref) + int(extra)
 		if shape&4 != 0 {
-			n += directMaxWork / len(kn.Ref()) // past the direct threshold: the FFT path
+			n += directMaxWork / len(kn.ref) // past the direct threshold: the FFT path
 		}
 		at := []int{rng.Intn(n), rng.Intn(n)}
 		amps := []float64{1, 0.5 + rng.Float64()}
@@ -381,7 +381,7 @@ func BenchmarkOffsetImmunePeak(b *testing.B) {
 		lanes[i] = peakLane(rng, 227, 1, 1i, []int{0}, []float64{1}, 1-0.2*float64(i), 0.4-0.2i, 0.03)
 	}
 	x := lanesBatch(lanes...)
-	ar := NewArena()
+	ar := new(Arena)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

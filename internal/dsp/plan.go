@@ -8,12 +8,11 @@ import (
 	"sync"
 )
 
-// Plan caches everything size-dependent about an N-point DFT: the
-// bit-reversal swap schedule, per-stage twiddle-factor tables for both
-// transform directions, and — for non-power-of-two sizes — the
-// Bluestein chirp vectors and pre-transformed convolution kernel. A
-// plan is immutable after construction and safe for concurrent use, so
-// one shared plan per size serves every goroutine.
+// Plan caches everything size-dependent about an N-point radix-2 DFT:
+// the bit-reversal swap schedule and per-stage twiddle-factor tables
+// for both transform directions. A plan is immutable after construction
+// and safe for concurrent use, so one shared plan per size serves every
+// goroutine.
 //
 // The twiddle tables replicate the accumulate-and-resync recurrence of
 // the original direct transform term for term, so planned transforms
@@ -24,26 +23,14 @@ type Plan struct {
 	swaps []int32        // flattened (i, j) swap pairs, i < j
 	fwd   [][]complex128 // per-stage twiddles, forward transform
 	inv   [][]complex128 // per-stage twiddles, inverse transform
-	blu   *bluesteinPlan // non-power-of-two sizes only
-}
-
-// bluesteinPlan holds the size-only precomputation of the chirp-z
-// transform: the chirp w[k] = exp(sign*i*pi*k^2/n) and the forward
-// transform of the conjugate-chirp convolution kernel, for both signs.
-type bluesteinPlan struct {
-	m       int        // power-of-two convolution length >= 2n-1
-	scale   complex128 // 1/m, the inverse-convolution normalization
-	wFwd    []complex128
-	wInv    []complex128
-	kernFwd []complex128
-	kernInv []complex128
-	mp      *Plan // radix-2 plan for the length-m convolutions
 }
 
 var planCache sync.Map // int -> *Plan
 
 // PlanFFT returns the shared plan for n-point transforms, building and
-// caching it on first use. It panics for n < 1.
+// caching it on first use. n must be a power of two (every caller sizes
+// its transform with NextPow2); it panics for any other n, including
+// n < 1.
 func PlanFFT(n int) *Plan {
 	if p, ok := planCache.Load(n); ok {
 		return p.(*Plan)
@@ -54,20 +41,13 @@ func PlanFFT(n int) *Plan {
 }
 
 func newPlan(n int) *Plan {
-	if n < 1 {
-		panic(fmt.Sprintf("dsp: FFT plan size %d, must be >= 1", n))
+	if n < 1 || n&(n-1) != 0 {
+		panic(fmt.Sprintf("dsp: FFT plan size %d, must be a power of two", n))
 	}
 	p := &Plan{n: n}
-	if n&(n-1) == 0 {
-		p.initRadix2()
-	} else {
-		p.blu = newBluesteinPlan(n)
-	}
+	p.initRadix2()
 	return p
 }
-
-// N returns the transform size the plan was built for.
-func (p *Plan) N() int { return p.n }
 
 func (p *Plan) initRadix2() {
 	n := p.n
@@ -106,75 +86,6 @@ func stageTwiddles(n int, sign float64) [][]complex128 {
 	return stages
 }
 
-func newBluesteinPlan(n int) *bluesteinPlan {
-	m := 1
-	for m < 2*n-1 {
-		m <<= 1
-	}
-	bp := &bluesteinPlan{m: m, scale: complex(1/float64(m), 0), mp: PlanFFT(m)}
-	bp.wFwd, bp.kernFwd = bluesteinTables(n, m, -1.0, bp.mp)
-	bp.wInv, bp.kernInv = bluesteinTables(n, m, 1.0, bp.mp)
-	return bp
-}
-
-func bluesteinTables(n, m int, sign float64, mp *Plan) (w, kern []complex128) {
-	w = make([]complex128, n)
-	for k := 0; k < n; k++ {
-		// k^2 mod 2n avoids precision loss for large k.
-		k2 := (int64(k) * int64(k)) % int64(2*n)
-		w[k] = cmplx.Exp(complex(0, sign*math.Pi*float64(k2)/float64(n)))
-	}
-	kern = make([]complex128, m)
-	for k := 0; k < n; k++ {
-		bk := cmplx.Conj(w[k])
-		kern[k] = bk
-		if k > 0 {
-			kern[m-k] = bk
-		}
-	}
-	mp.radix2To(kern, kern, false)
-	return w, kern
-}
-
-// FFTTo writes the DFT of x into dst and returns dst, reallocating only
-// when cap(dst) < len(x). len(x) must equal the plan size. dst may be
-// x itself (the transform then runs fully in place) but must not
-// otherwise overlap it.
-func (p *Plan) FFTTo(dst, x []complex128) []complex128 {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: plan size %d, input length %d", p.n, len(x)))
-	}
-	dst = GrowComplex(dst, p.n)
-	p.transformTo(dst, x, false)
-	return dst
-}
-
-// IFFTTo writes the inverse DFT of x into dst (scaled by 1/N so that
-// IFFTTo following FFTTo round-trips) and returns dst. The aliasing
-// rules match FFTTo.
-func (p *Plan) IFFTTo(dst, x []complex128) []complex128 {
-	if len(x) != p.n {
-		panic(fmt.Sprintf("dsp: plan size %d, input length %d", p.n, len(x)))
-	}
-	dst = GrowComplex(dst, p.n)
-	p.transformTo(dst, x, true)
-	s := complex(1/float64(p.n), 0)
-	for i := range dst {
-		dst[i] *= s
-	}
-	return dst
-}
-
-// transformTo runs the unscaled transform of x into dst (dst == x
-// allowed, partial overlap not).
-func (p *Plan) transformTo(dst, x []complex128, inverse bool) {
-	if p.blu != nil {
-		p.bluesteinTo(dst, x, inverse)
-		return
-	}
-	p.radix2To(dst, x, inverse)
-}
-
 // radix2To is the planned iterative Cooley-Tukey transform: the
 // bit-reversal permutation replays the recorded swap list and each
 // butterfly reads its twiddle from the stage table.
@@ -205,30 +116,4 @@ func (p *Plan) radix2To(dst, x []complex128, inverse bool) {
 			}
 		}
 	}
-}
-
-// bluesteinTo runs the chirp-z transform through the precomputed chirp
-// and kernel. Scratch comes from the arena pool, so steady-state calls
-// do not allocate.
-func (p *Plan) bluesteinTo(dst, x []complex128, inverse bool) {
-	bp := p.blu
-	w, kern := bp.wFwd, bp.kernFwd
-	if inverse {
-		w, kern = bp.wInv, bp.kernInv
-	}
-	ar := GetArena()
-	a := ar.ComplexZeroed(bp.m)
-	for k := 0; k < p.n; k++ {
-		a[k] = x[k] * w[k]
-	}
-	bp.mp.radix2To(a, a, false)
-	for i := range a {
-		a[i] *= kern[i]
-	}
-	bp.mp.radix2To(a, a, true)
-	for k := 0; k < p.n; k++ {
-		dst[k] = a[k] * bp.scale * w[k]
-	}
-	ar.PutComplex(a)
-	PutArena(ar)
 }

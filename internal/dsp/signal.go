@@ -1,7 +1,6 @@
 package dsp
 
 import (
-	"fmt"
 	"math"
 	"math/cmplx"
 )
@@ -113,51 +112,6 @@ func Delay(x []complex128, d int) []complex128 {
 	return out
 }
 
-// FractionalDelay applies a non-integer sample delay using a windowed-sinc
-// interpolator of the given half-width (taps = 2*halfWidth+1).
-func FractionalDelay(x []complex128, delay float64, halfWidth int) ([]complex128, error) {
-	if delay < 0 {
-		return nil, fmt.Errorf("dsp: fractional delay must be >= 0, got %g", delay)
-	}
-	if halfWidth < 1 {
-		return nil, fmt.Errorf("dsp: interpolator half-width must be >= 1, got %d", halfWidth)
-	}
-	whole := int(delay)
-	frac := delay - float64(whole)
-	out := make([]complex128, len(x))
-	if frac < 1e-12 {
-		copy(out, Delay(x, whole))
-		return out, nil
-	}
-	// Reconstruct x at continuous time n - whole - frac:
-	//   y[n] = sum_k x[n - whole + k] * sinc(k + frac) * w(k + frac)
-	// with a continuous Hamming taper w centred on the sinc peak.
-	span := float64(halfWidth + 1)
-	for n := range out {
-		var acc complex128
-		for k := -halfWidth - 1; k <= halfWidth; k++ {
-			idx := n - whole + k
-			if idx < 0 || idx >= len(x) {
-				continue
-			}
-			t := float64(k) + frac
-			if math.Abs(t) > span {
-				continue
-			}
-			var s float64
-			if math.Abs(t) < 1e-12 {
-				s = 1
-			} else {
-				s = math.Sin(math.Pi*t) / (math.Pi * t)
-			}
-			w := 0.54 + 0.46*math.Cos(math.Pi*t/span)
-			acc += x[idx] * complex(s*w, 0)
-		}
-		out[n] = acc
-	}
-	return out, nil
-}
-
 // Power returns the mean squared magnitude of x (average power).
 func Power(x []complex128) float64 {
 	if len(x) == 0 {
@@ -190,15 +144,6 @@ func Normalize(x []complex128) []complex128 {
 		return x
 	}
 	return Scale(x, 1/math.Sqrt(p))
-}
-
-// Magnitude returns |x[i]| for each sample.
-func Magnitude(x []complex128) []float64 {
-	out := make([]float64, len(x))
-	for i, v := range x {
-		out[i] = cmplxAbs(v)
-	}
-	return out
 }
 
 // MagnitudeSquared returns |x[i]|^2 for each sample. This models an ideal

@@ -8,11 +8,21 @@ import (
 	"testing/quick"
 )
 
+// toneFrequency measures the mean frequency (Hz) of a unit-amplitude
+// complex exponential from its average sample-to-sample phase advance.
+func toneFrequency(x []complex128, sampleRate float64) float64 {
+	var acc complex128
+	for i := 1; i < len(x); i++ {
+		acc += x[i] * cmplx.Conj(x[i-1])
+	}
+	return cmplx.Phase(acc) / (2 * math.Pi) * sampleRate
+}
+
 func TestNCOFrequency(t *testing.T) {
 	fs := 1e6
 	o := NewNCO(100e3, fs, 0)
 	x := o.Block(1024)
-	got := DominantFrequency(x, fs)
+	got := toneFrequency(x, fs)
 	if math.Abs(got-100e3) > 100 {
 		t.Fatalf("NCO frequency %g, want 100 kHz", got)
 	}
@@ -48,7 +58,7 @@ func TestMixShiftsSpectrum(t *testing.T) {
 	fs := 1e6
 	x := Tone(50e3, fs, 2048, 0.3)
 	y := Mix(x, 100e3, fs, 0)
-	got := DominantFrequency(y, fs)
+	got := toneFrequency(y, fs)
 	if math.Abs(got-150e3) > 100 {
 		t.Fatalf("mixed frequency %g, want 150 kHz", got)
 	}
@@ -74,9 +84,9 @@ func TestChirpSweep(t *testing.T) {
 		t.Fatal("chirp must be unit amplitude")
 	}
 	// Instantaneous frequency early in the chirp is near 0, late is near
-	// the top. Check by windowed dominant frequency.
-	head := DominantFrequency(c[:512], fs)
-	tail := DominantFrequency(c[n-512:], fs)
+	// the top. Check by the mean frequency over a window.
+	head := toneFrequency(c[:512], fs)
+	tail := toneFrequency(c[n-512:], fs)
 	if head > 0.5e6 {
 		t.Fatalf("chirp head frequency %g, want near 0", head)
 	}
@@ -98,46 +108,6 @@ func TestDelay(t *testing.T) {
 		if v != 0 {
 			t.Fatal("over-delay must zero")
 		}
-	}
-}
-
-func TestFractionalDelayWholeSample(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	x := randSignal(rng, 64)
-	y, err := FractionalDelay(x, 3, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e := maxErr(y, Delay(x, 3)); e > 1e-12 {
-		t.Fatalf("whole-sample fractional delay mismatch %g", e)
-	}
-}
-
-func TestFractionalDelayHalfSample(t *testing.T) {
-	// Delay a slow tone by 0.5 samples; compare against the analytic
-	// shifted tone away from the edges.
-	fs := 1.0
-	f := 0.02
-	n := 256
-	x := Tone(f, fs, n, 0)
-	y, err := FractionalDelay(x, 10.5, 16)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 40; i < n-40; i++ {
-		want := cmplx.Exp(complex(0, 2*math.Pi*f*(float64(i)-10.5)))
-		if cmplx.Abs(y[i]-want) > 0.01 {
-			t.Fatalf("sample %d: got %v want %v", i, y[i], want)
-		}
-	}
-}
-
-func TestFractionalDelayErrors(t *testing.T) {
-	if _, err := FractionalDelay(nil, -1, 4); err == nil {
-		t.Fatal("negative delay must error")
-	}
-	if _, err := FractionalDelay(nil, 1, 0); err == nil {
-		t.Fatal("zero half-width must error")
 	}
 }
 

@@ -64,14 +64,8 @@ func TestChaosBoundedRecovery(t *testing.T) {
 // and demands byte-identical renders — the fault-injected experiments
 // obey the same seed-purity contract as the rest of the suite.
 func TestChaosTablesDeterministic(t *testing.T) {
-	a, err := R3AckLoss(nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := R3AckLoss(nil, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	a := runTables(t, "R3", 7)[0]
+	b := runTables(t, "R3", 7)[0]
 	if a.Render() != b.Render() {
 		t.Fatalf("R3 renders diverge:\n%s\n%s", a.Render(), b.Render())
 	}

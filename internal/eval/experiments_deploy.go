@@ -17,10 +17,6 @@ import (
 // one AP — so the tables are forward-looking projections of the
 // reconstructed cell, not reproductions.
 
-// E19APScaling regenerates the AP-scaling table: a fixed 48-tag
-// population served by growing AP grids.
-func E19APScaling(seed int64) (*Table, error) { return e19APScaling(Exec{}, seed) }
-
 func e19APScaling(x Exec, seed int64) (*Table, error) {
 	t := &Table{
 		ID:     "E19",
@@ -57,10 +53,6 @@ func e19APScaling(x Exec, seed int64) (*Table, error) {
 	}
 	return t, nil
 }
-
-// E20HandoffLatency regenerates the handoff table: latency distribution
-// and poll-duplication cost of mobility across a 2x2 grid.
-func E20HandoffLatency(seed int64) (*Table, error) { return e20HandoffLatency(Exec{}, seed) }
 
 func e20HandoffLatency(x Exec, seed int64) (*Table, error) {
 	t := &Table{
@@ -110,10 +102,6 @@ func e20HandoffLatency(x Exec, seed int64) (*Table, error) {
 	}
 	return t, nil
 }
-
-// E21EdgeReuse regenerates the reuse table: SINR and BER of a cell-edge
-// probe as the co-channel reuse spacing grows.
-func E21EdgeReuse(seed int64) (*Table, error) { return e21EdgeReuse(Exec{}, seed) }
 
 func e21EdgeReuse(x Exec, seed int64) (*Table, error) {
 	t := &Table{

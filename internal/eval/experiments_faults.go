@@ -48,14 +48,6 @@ func retention(faulted, baseline *sim.InventoryReport) float64 {
 	return faulted.GoodputBps / baseline.GoodputBps
 }
 
-// R1BurstBlockage soaks an 8-tag fleet in Gilbert-Elliott burst
-// blockage of increasing depth: the health machine keeps blocked tags
-// polled (or backed off), link adaptation drops down the ladder
-// (degraded picks), and goodput retention quantifies the cost.
-func R1BurstBlockage(tb *Testbed, seed int64) (*Table, error) {
-	return r1BurstBlockage(Exec{}, tb, seed)
-}
-
 func r1BurstBlockage(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	tb = tb.orDefault()
 	t := &Table{
@@ -82,14 +74,6 @@ func r1BurstBlockage(x Exec, tb *Testbed, seed int64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// R2TagChurn soaks the fleet in population churn: permanent tag death
-// and energy-harvest brownout. The health machine must evict
-// unreachable tags and the periodic rediscovery sweeps must recover the
-// ones that come back (brownout) while leaving the dead evicted.
-func R2TagChurn(tb *Testbed, seed int64) (*Table, error) {
-	return r2TagChurn(Exec{}, tb, seed)
 }
 
 func r2TagChurn(x Exec, tb *Testbed, seed int64) (*Table, error) {
@@ -125,14 +109,6 @@ func r2TagChurn(x Exec, tb *Testbed, seed int64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// R3AckLoss soaks the AP→tag feedback path: delivered frames whose ACK
-// is lost are retransmitted by the tag and absorbed by the AP's
-// duplicate detection, so information is never double-counted while the
-// retry budget pays for the wasted air time.
-func R3AckLoss(tb *Testbed, seed int64) (*Table, error) {
-	return r3AckLoss(Exec{}, tb, seed)
 }
 
 func r3AckLoss(x Exec, tb *Testbed, seed int64) (*Table, error) {

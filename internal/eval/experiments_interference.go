@@ -6,15 +6,6 @@ import (
 	"mmtag/internal/sim"
 )
 
-// E17Interference evaluates dense deployments: a neighbouring AP's
-// carrier raises the victim reader's interference floor. The experiment
-// sweeps the interferer's EIRP with the interferer placed inside the
-// victim's serving sector, and reports the victim network's goodput and
-// per-tag SINR degradation.
-func E17Interference(tb *Testbed, seed int64) (*Table, error) {
-	return e17Interference(Exec{}, tb, seed)
-}
-
 // e17Interference's trial grid is the interferer-EIRP axis; every
 // shard builds its own victim network, so nothing is shared.
 func e17Interference(x Exec, tb *Testbed, seed int64) (*Table, error) {

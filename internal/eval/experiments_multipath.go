@@ -7,16 +7,6 @@ import (
 	"mmtag/internal/rfmath"
 )
 
-// E16Multipath evaluates uplink robustness to small-scale multipath:
-// QPSK symbols through Rician channels of decreasing K-factor (more
-// scattering), received with (a) the baseline one-tap gain corrector
-// and (b) channel sounding + MMSE linear equalization. Strongly Rician
-// links (narrow mmWave beams) barely need the equalizer; low-K channels
-// break the one-tap receiver and the equalizer restores them.
-func E16Multipath(seed int64) (*Table, error) {
-	return e16Multipath(Exec{}, seed)
-}
-
 // e16Multipath's trial grid is the K-factor axis: each shard seeds its
 // own RNG from its K value (the historical per-row seeding) and
 // averages its realizations privately.

@@ -60,12 +60,6 @@ func maxI(a, b int) int {
 	return b
 }
 
-// E7MultiTag regenerates the multi-tag figure: aggregate goodput versus
-// tag population under plain TDMA polling and under SDM grouping.
-func E7MultiTag(tb *Testbed, seed int64) (*Table, error) {
-	return e7MultiTag(Exec{}, tb, seed)
-}
-
 // e7MultiTag's trial grid is the population axis: each shard builds its
 // own fleets and seeds its own runs, so shards share no state.
 func e7MultiTag(x Exec, tb *Testbed, seed int64) (*Table, error) {
@@ -107,12 +101,6 @@ func e7MultiTag(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// E10Discovery regenerates the discovery figure: beam-sweep inventory
-// latency and completeness versus tag population.
-func E10Discovery(tb *Testbed, seed int64) (*Table, error) {
-	return e10Discovery(Exec{}, tb, seed)
-}
-
 func e10Discovery(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	tb = tb.orDefault()
 	t := &Table{
@@ -141,14 +129,6 @@ func e10Discovery(x Exec, tb *Testbed, seed int64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// E14DiscoveryAblation compares discovery strategies at several
-// populations: the default fixed-window sweep, an undersized
-// fixed-window ALOHA, and Q-adaptive ALOHA. Slots spent is the cost
-// metric (each slot is air time).
-func E14DiscoveryAblation(tb *Testbed, seed int64) (*Table, error) {
-	return e14DiscoveryAblation(Exec{}, tb, seed)
 }
 
 func e14DiscoveryAblation(x Exec, tb *Testbed, seed int64) (*Table, error) {
@@ -206,14 +186,6 @@ func e14DiscoveryAblation(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// E15Blockage evaluates ride-through of shadowing episodes: a mobile
-// tag parked at 4 m suffers a mid-run blockage of increasing one-way
-// depth while the MAC adapts and retransmits. Delivery stays high until
-// the episode exceeds even the robust rates' margin.
-func E15Blockage(tb *Testbed, seed int64) (*Table, error) {
-	return e15Blockage(Exec{}, tb, seed)
-}
-
 func e15Blockage(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	tb = tb.orDefault()
 	t := &Table{
@@ -258,13 +230,6 @@ func e15Blockage(x Exec, tb *Testbed, seed int64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// A2SDMChains ablates the AP's RF-chain count: with 16 beam-separated
-// tags, aggregate SDM goodput scales with the number of concurrent
-// beams until the spatial-separation limit binds.
-func A2SDMChains(tb *Testbed, seed int64) (*Table, error) {
-	return a2SDMChains(Exec{}, tb, seed)
 }
 
 func a2SDMChains(x Exec, tb *Testbed, seed int64) (*Table, error) {

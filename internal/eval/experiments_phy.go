@@ -14,13 +14,6 @@ import (
 	"mmtag/internal/vanatta"
 )
 
-// E3BERvsEbN0 regenerates the modulation micro-benchmark: Monte-Carlo
-// BER against the closed-form AWGN curves for every tag alphabet. The
-// ratio column should hover around 1.
-func E3BERvsEbN0(seed int64) (*Table, error) {
-	return e3BERvsEbN0(Exec{}, seed)
-}
-
 // e3BERvsEbN0 is an indivisible grid: one RNG stream deliberately
 // threads through every (modulation, Eb/N0) cell in row order, so
 // splitting it would change the published numbers. It runs as a single
@@ -97,15 +90,6 @@ func e3BERvsEbN0(x Exec, seed int64) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// E9Cancellation regenerates the self-interference micro-benchmark: a
-// waveform-level uplink reception while the analog cancellation depth
-// varies. The ADC full scale must fit the residual self-interference;
-// with too little cancellation the tag echo falls below the converter's
-// quantization floor and the frame is lost.
-func E9Cancellation(tb *Testbed, seed int64) (*Table, error) {
-	return e9Cancellation(Exec{}, tb, seed)
 }
 
 // e9Cancellation's trial grid is the cancellation-depth axis; each
@@ -196,13 +180,6 @@ func e9Cancellation(x Exec, tb *Testbed, seed int64) (*Table, error) {
 	return t, nil
 }
 
-// E11SwitchLimit regenerates the switching-speed micro-benchmark: EVM
-// and decode success versus symbol rate for a fixed switch rise time,
-// plus the design-rule maximum symbol rate for several switch classes.
-func E11SwitchLimit(tb *Testbed, seed int64) ([]*Table, error) {
-	return e11SwitchLimit(Exec{}, tb, seed)
-}
-
 // e11SwitchLimit shards the waveform sweep over the symbol-rate axis
 // (per-rate RNG seeding, as always); the closed-form design-rule table
 // is too cheap to shard.
@@ -259,16 +236,6 @@ func e11SwitchLimit(x Exec, tb *Testbed, seed int64) ([]*Table, error) {
 		classes.AddRow(ns, vanatta.MaxSymbolRate(ns*1e-9)/1e6)
 	}
 	return []*Table{sweep, classes}, nil
-}
-
-// E12CodedPER regenerates the coding figure: Monte-Carlo packet error
-// rate for 256-byte frames across channel SNR, for three receivers —
-// uncoded, rate-1/2 convolutional with hard decisions, and the same
-// code with soft decisions. Every receiver sees the identical noisy
-// soft levels; the coded curves fall several dB earlier, with the soft
-// path earliest.
-func E12CodedPER(seed int64) (*Table, error) {
-	return e12CodedPER(Exec{}, seed)
 }
 
 // e12CodedPER's trial grid is the SNR axis — the suite's most

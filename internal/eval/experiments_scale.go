@@ -14,9 +14,6 @@ import (
 // link-budget tail); the 1M row pins the pure tier-c regime that makes
 // the population size affordable.
 
-// E22ScaleTiers regenerates the fidelity-ladder scaling table.
-func E22ScaleTiers(seed int64) (*Table, error) { return e22ScaleTiers(Exec{}, seed) }
-
 func e22ScaleTiers(x Exec, seed int64) (*Table, error) {
 	t := &Table{
 		ID:     "E22",

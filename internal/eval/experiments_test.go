@@ -17,17 +17,49 @@ func parseF(t *testing.T, s string) float64 {
 	return v
 }
 
-func column(t *testing.T, tab *Table, name string) []float64 {
+// columnStrings returns a table column, found by header name, as
+// rendered cells.
+func columnStrings(t *testing.T, tab *Table, name string) []string {
 	t.Helper()
-	raw := tab.Column(name)
-	if raw == nil {
+	idx := -1
+	for i, h := range tab.Header {
+		if h == name {
+			idx = i
+			break
+		}
+	}
+	if idx < 0 {
 		t.Fatalf("table %s has no column %q (header %v)", tab.ID, name, tab.Header)
 	}
+	out := make([]string, 0, len(tab.Rows))
+	for _, row := range tab.Rows {
+		if idx < len(row) {
+			out = append(out, row[idx])
+		}
+	}
+	return out
+}
+
+// column parses a table column back into floats.
+func column(t *testing.T, tab *Table, name string) []float64 {
+	t.Helper()
+	raw := columnStrings(t, tab, name)
 	out := make([]float64, len(raw))
 	for i, s := range raw {
 		out[i] = parseF(t, s)
 	}
 	return out
+}
+
+// runTables runs one experiment through the suite registry, as
+// cmd/mmtag-bench -experiment does.
+func runTables(t *testing.T, id string, seed int64) []*Table {
+	t.Helper()
+	tabs, err := RunExperiment(Exec{}, id, nil, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tabs
 }
 
 func TestE1Shape(t *testing.T) {
@@ -92,10 +124,7 @@ func TestE2Shape(t *testing.T) {
 }
 
 func TestE3MeasurementsTrackTheory(t *testing.T) {
-	tab, err := E3BERvsEbN0(7)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E3", 7)[0]
 	ratios := column(t, tab, "ratio")
 	meas := column(t, tab, "ber_measured")
 	for i, r := range ratios {
@@ -183,10 +212,7 @@ func TestE6Shape(t *testing.T) {
 }
 
 func TestE7Shape(t *testing.T) {
-	tab, err := E7MultiTag(nil, 11)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E7", 11)[0]
 	tags := column(t, tab, "tags")
 	disc := column(t, tab, "discovered")
 	tdma := column(t, tab, "tdma_goodput_Mbps")
@@ -228,12 +254,9 @@ func TestE8Shape(t *testing.T) {
 }
 
 func TestE9Shape(t *testing.T) {
-	tab, err := E9Cancellation(nil, 13)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E9", 13)[0]
 	cancel := column(t, tab, "cancel_dB")
-	decoded := tab.Column("decoded")
+	decoded := columnStrings(t, tab, "decoded")
 	// Weak cancellation fails, strong succeeds, with a single crossover.
 	if decoded[0] != "false" {
 		t.Fatal("0 dB cancellation should fail through a 12-bit ADC")
@@ -252,10 +275,7 @@ func TestE9Shape(t *testing.T) {
 }
 
 func TestE10Shape(t *testing.T) {
-	tab, err := E10Discovery(nil, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E10", 17)[0]
 	tags := column(t, tab, "tags")
 	disc := column(t, tab, "discovered")
 	lat := column(t, tab, "latency_ms")
@@ -271,10 +291,7 @@ func TestE10Shape(t *testing.T) {
 }
 
 func TestE11Shape(t *testing.T) {
-	tabs, err := E11SwitchLimit(nil, 19)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tabs := runTables(t, "E11", 19)
 	if len(tabs) != 2 {
 		t.Fatalf("E11 returns %d tables", len(tabs))
 	}
@@ -298,10 +315,7 @@ func TestE11Shape(t *testing.T) {
 }
 
 func TestE12Shape(t *testing.T) {
-	tab, err := E12CodedPER(23)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E12", 23)[0]
 	snr := column(t, tab, "esn0_dB")
 	unc := column(t, tab, "per_uncoded")
 	cod := column(t, tab, "per_coded_hard")
@@ -364,10 +378,7 @@ func TestE13Shape(t *testing.T) {
 }
 
 func TestE14Shape(t *testing.T) {
-	tab, err := E14DiscoveryAblation(nil, 29)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E14", 29)[0]
 	tags := column(t, tab, "tags")
 	fixedFound := column(t, tab, "fixed8_found")
 	adaptFound := column(t, tab, "adaptive_found")
@@ -416,10 +427,7 @@ func TestA1Shape(t *testing.T) {
 }
 
 func TestE15Shape(t *testing.T) {
-	tab, err := E15Blockage(nil, 31)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E15", 31)[0]
 	depth := column(t, tab, "depth_dB_oneway")
 	delivery := column(t, tab, "delivery_ratio")
 	// No blockage: essentially perfect delivery.
@@ -439,10 +447,7 @@ func TestE15Shape(t *testing.T) {
 }
 
 func TestE16Shape(t *testing.T) {
-	tab, err := E16Multipath(37)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E16", 37)[0]
 	onetap := column(t, tab, "ser_onetap")
 	mmse := column(t, tab, "ser_mmse")
 	// The equalizer never loses to the one-tap receiver, and at the
@@ -462,10 +467,7 @@ func TestE16Shape(t *testing.T) {
 }
 
 func TestE17Shape(t *testing.T) {
-	tab, err := E17Interference(nil, 43)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E17", 43)[0]
 	sinr := column(t, tab, "tag_sinr_dB")
 	good := column(t, tab, "goodput_Mbps")
 	// SINR monotone non-increasing as the interferer strengthens.
@@ -510,10 +512,7 @@ func TestE18Shape(t *testing.T) {
 }
 
 func TestA2Shape(t *testing.T) {
-	tab, err := A2SDMChains(nil, 47)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "A2", 47)[0]
 	chains := column(t, tab, "chains")
 	good := column(t, tab, "goodput_Mbps")
 	for i := 1; i < len(chains); i++ {
@@ -553,12 +552,12 @@ func TestT2T3Shapes(t *testing.T) {
 }
 
 func TestAllTables(t *testing.T) {
-	tabs, err := AllTables(nil, 3)
+	tabs, err := RunSuite(Exec{}, nil, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(tabs) != 30 { // E1..E22 (+E11b) + A1 + A2 + T2 + T3 + R1..R3
-		t.Fatalf("AllTables returned %d tables", len(tabs))
+		t.Fatalf("RunSuite returned %d tables", len(tabs))
 	}
 	seen := map[string]bool{}
 	for _, tab := range tabs {
@@ -576,10 +575,7 @@ func TestAllTables(t *testing.T) {
 }
 
 func TestE22Shape(t *testing.T) {
-	tab, err := E22ScaleTiers(42)
-	if err != nil {
-		t.Fatal(err)
-	}
+	tab := runTables(t, "E22", 42)[0]
 	if len(tab.Rows) != 4 {
 		t.Fatalf("E22 has %d rows, want 4", len(tab.Rows))
 	}

@@ -1,3 +1,8 @@
+// Package eval is the experiment harness that regenerates the paper-style
+// evaluation: result tables and the experiment implementations (E1-E22,
+// A1-A2, R1-R3, T2-T3) indexed in DESIGN.md section 4. Each experiment
+// is a pure function of its parameters and a seed, so benches and the
+// CLI reproduce identical numbers.
 package eval
 
 import (
@@ -24,9 +29,8 @@ func one(run func(x Exec, tb *Testbed, seed int64) (*Table, error)) func(Exec, *
 	}
 }
 
-// Experiments returns the full suite in report order (the order
-// AllTables has always used). The slice is freshly allocated; callers
-// may reorder or filter it.
+// Experiments returns the full suite in report order. The slice is
+// freshly allocated; callers may reorder or filter it.
 func Experiments() []Experiment {
 	return []Experiment{
 		{"E1", one(func(x Exec, tb *Testbed, _ int64) (*Table, error) { return E1RetroPattern(tb) })},
@@ -125,10 +129,4 @@ func RunSuite(x Exec, tb *Testbed, seed int64) ([]*Table, error) {
 		out = append(out, tabs...)
 	}
 	return out, nil
-}
-
-// AllTables runs the whole suite serially — the reference output the
-// parallel suite reproduces bit-for-bit.
-func AllTables(tb *Testbed, seed int64) ([]*Table, error) {
-	return RunSuite(Exec{}, tb, seed)
 }

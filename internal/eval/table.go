@@ -119,25 +119,3 @@ func (t *Table) CSV() string {
 	}
 	return b.String()
 }
-
-// Column extracts a column by header name as float strings parsed back;
-// it returns raw strings (callers parse as needed).
-func (t *Table) Column(name string) []string {
-	idx := -1
-	for i, h := range t.Header {
-		if h == name {
-			idx = i
-			break
-		}
-	}
-	if idx < 0 {
-		return nil
-	}
-	out := make([]string, 0, len(t.Rows))
-	for _, row := range t.Rows {
-		if idx < len(row) {
-			out = append(out, row[idx])
-		}
-	}
-	return out
-}

@@ -149,9 +149,6 @@ func viterbi(level []float64) ([]byte, error) {
 	return bits[:nSteps-(convK-1)], nil
 }
 
-// ConvRate returns the code rate (1/2).
-func ConvRate() float64 { return 0.5 }
-
 // ConvTailBits returns the number of zero tail bits appended by the
 // encoder.
 func ConvTailBits() int { return convK - 1 }

@@ -1,5 +1,5 @@
 // Package fec provides the error-detection and error-correction coding
-// used by mmTag frames: CRCs for error detection, a Hamming(7,4) code for
+// used by mmTag frames: a CRC-16 for error detection, a Hamming(7,4) code for
 // the lightweight header, a rate-1/2 constraint-length-7 convolutional
 // code with Viterbi decoding for payloads, plus the block interleaver
 // and scrambler that condition the coded stream.
@@ -23,38 +23,4 @@ func CRC16(data []byte) uint16 {
 		}
 	}
 	return crc
-}
-
-// CRC8 computes the CRC-8 (poly 0x07, init 0x00) used for the short
-// frame header.
-func CRC8(data []byte) uint8 {
-	crc := uint8(0)
-	for _, b := range data {
-		crc ^= b
-		for i := 0; i < 8; i++ {
-			if crc&0x80 != 0 {
-				crc = crc<<1 ^ 0x07
-			} else {
-				crc <<= 1
-			}
-		}
-	}
-	return crc
-}
-
-// CRC32IEEE computes the standard IEEE 802.3 CRC-32 (reflected,
-// poly 0xEDB88320, init/final 0xFFFFFFFF).
-func CRC32IEEE(data []byte) uint32 {
-	crc := ^uint32(0)
-	for _, b := range data {
-		crc ^= uint32(b)
-		for i := 0; i < 8; i++ {
-			if crc&1 != 0 {
-				crc = crc>>1 ^ 0xEDB88320
-			} else {
-				crc >>= 1
-			}
-		}
-	}
-	return ^crc
 }

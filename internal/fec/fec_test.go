@@ -1,7 +1,6 @@
 package fec
 
 import (
-	"hash/crc32"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -22,22 +21,6 @@ func TestCRC16KnownVector(t *testing.T) {
 	}
 	if got := CRC16(nil); got != 0xFFFF {
 		t.Fatalf("CRC16(empty) = %#04x, want 0xFFFF", got)
-	}
-}
-
-func TestCRC8KnownVector(t *testing.T) {
-	// CRC-8 (poly 0x07) of "123456789" is 0xF4.
-	if got := CRC8([]byte("123456789")); got != 0xF4 {
-		t.Fatalf("CRC8 = %#02x, want 0xF4", got)
-	}
-}
-
-func TestCRC32MatchesStdlib(t *testing.T) {
-	f := func(data []byte) bool {
-		return CRC32IEEE(data) == crc32.ChecksumIEEE(data)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
@@ -121,9 +104,6 @@ func TestConvEncodeLength(t *testing.T) {
 	code := ConvEncode(nil, data)
 	if len(code) != 2*(100+ConvTailBits()) {
 		t.Fatalf("coded length %d, want %d", len(code), 2*(100+6))
-	}
-	if ConvRate() != 0.5 {
-		t.Fatal("rate")
 	}
 }
 
@@ -296,8 +276,8 @@ func TestScramblerRoundTripAndWhitening(t *testing.T) {
 	if ones < 400 || ones > 600 {
 		t.Fatalf("scrambled ones density %d/1000, want ~500", ones)
 	}
-	// Descramble restores.
-	s.Reset()
+	// Descrambling from the same seed restores.
+	s, _ = NewScrambler(0x5D)
 	back := s.Apply(nil, scrambled)
 	for i, b := range back {
 		if b != 0 {

@@ -89,9 +89,6 @@ func NewScrambler(seed byte) (*Scrambler, error) {
 	return &Scrambler{state: seed, seed: seed}, nil
 }
 
-// Reset restores the seed state.
-func (s *Scrambler) Reset() { s.state = s.seed }
-
 // Apply XORs the LFSR sequence into bits, appending to dst. Scrambling
 // and descrambling are the same operation (run Reset between them).
 func (s *Scrambler) Apply(dst, bits []byte) []byte {

@@ -329,18 +329,3 @@ func Preamble(n int) []byte {
 	}
 	return out
 }
-
-// PreambleSymbols maps the preamble bits onto BPSK points (+1/-1) for
-// correlation at the AP.
-func PreambleSymbols(n int) []complex128 {
-	bits := Preamble(n)
-	out := make([]complex128, n)
-	for i, b := range bits {
-		if b != 0 {
-			out[i] = -1
-		} else {
-			out[i] = 1
-		}
-	}
-	return out
-}

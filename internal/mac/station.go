@@ -302,7 +302,7 @@ type Stats struct {
 	AirTimeSeconds  float64
 
 	// Degradation and recovery accounting (fault-injected runs).
-	PollErrors      int // PollCycle polls that returned an error
+	PollErrors      int // polls of known tags that returned an error
 	DegradedPicks   int // rate selections below the PER target
 	AckLosses       int // AP→tag ACKs lost
 	DuplicateFrames int // duplicate frames absorbed after ACK loss
@@ -475,11 +475,23 @@ type PollResult struct {
 	Duplicates int
 }
 
+// pollError counts a failed poll of a known tag and returns err.
+func (s *Station) pollError(id uint8, err error) (PollResult, error) {
+	s.Stats.PollErrors++
+	if s.m != nil {
+		s.m.polls.With(obs.U8(id), "error").Inc()
+	}
+	return PollResult{}, err
+}
+
 // Poll solicits one uplink frame from a known tag with link adaptation
 // and stop-and-wait ARQ. The air time accounts every attempt. When the
 // medium can lose the AP→tag ACK (AckLossMedium), a delivered frame
 // whose ACK is lost is retransmitted by the tag and absorbed here as a
 // duplicate — counted, air time charged, information bits counted once.
+// A poll of a known tag that fails (an invalid rate ladder, a frame
+// engine error) is counted in Stats.PollErrors and under
+// mac_polls_total with ok="error" before its error is returned.
 func (s *Station) Poll(id uint8) (PollResult, error) {
 	rec, ok := s.known[id]
 	if !ok {
@@ -488,7 +500,7 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 	// PickRate, answered from the tag's decision memo.
 	table := s.cfg.RateTable
 	if err := checkLadder(table, s.cfg.TargetPER); err != nil {
-		return PollResult{}, err
+		return s.pollError(id, err)
 	}
 	snrFor := func(r Rate) float64 {
 		snr, audible := s.medium.SNR(id, rec.BeamRad, r)
@@ -530,7 +542,7 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 			if s.cfg.Frames != nil {
 				good, err := s.cfg.Frames.FrameSuccess(rate, snr, s.cfg.PollPayloadBytes, s.rng)
 				if err != nil {
-					return PollResult{}, fmt.Errorf("mac: frame engine: %w", err)
+					return s.pollError(id, fmt.Errorf("mac: frame engine: %w", err))
 				}
 				delivered = good
 			} else {
@@ -591,39 +603,4 @@ func (s *Station) Poll(id uint8) (PollResult, error) {
 	}
 	s.noteOutcome(id, res.Delivered)
 	return res, nil
-}
-
-// PollCycle polls every known tag once in ID order (TDMA round) and
-// returns the results. Tags the health machine is backing off from and
-// polls beyond the cycle airtime budget are skipped; per-tag poll
-// errors are counted in Stats.PollErrors and under mac_polls_total with
-// ok="error" instead of being silently dropped.
-func (s *Station) PollCycle() []PollResult {
-	s.BeginCycle()
-	tags := s.Known()
-	out := make([]PollResult, 0, len(tags))
-	for _, rec := range tags {
-		if !s.ShouldPoll(rec.ID) {
-			continue
-		}
-		res, err := s.Poll(rec.ID)
-		if err != nil {
-			s.Stats.PollErrors++
-			if s.m != nil {
-				s.m.polls.With(obs.U8(rec.ID), "error").Inc()
-			}
-			continue
-		}
-		out = append(out, res)
-	}
-	return out
-}
-
-// Goodput returns delivered information bits per second of air time
-// accumulated so far.
-func (s *Station) Goodput() float64 {
-	if s.Stats.AirTimeSeconds == 0 {
-		return 0
-	}
-	return float64(s.Stats.BitsDelivered) / s.Stats.AirTimeSeconds
 }

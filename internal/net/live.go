@@ -156,10 +156,6 @@ func (r *Runner) Snapshot() *Report {
 	return rep
 }
 
-// TotalHandoffs returns the handoff count since the first epoch (the
-// retained log in Snapshot may be shorter when a cap is set).
-func (r *Runner) TotalHandoffs() int { return r.handoffs }
-
 // SetFaults swaps the fault plan injected into every cell from the next
 // Step on. Call it only between Steps, from the Runner's goroutine —
 // it is the hot-reload entry point for a live deployment, not a

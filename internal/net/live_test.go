@@ -86,8 +86,8 @@ func TestRunnerStepsPastConfiguredEpochs(t *testing.T) {
 	if len(snap.Handoffs) > 2 {
 		t.Fatalf("handoff cap leaked: kept %d > 2", len(snap.Handoffs))
 	}
-	if r.TotalHandoffs() < len(snap.Handoffs) {
-		t.Fatalf("total handoffs %d < retained %d", r.TotalHandoffs(), len(snap.Handoffs))
+	if r.handoffs < len(snap.Handoffs) {
+		t.Fatalf("total handoffs %d < retained %d", r.handoffs, len(snap.Handoffs))
 	}
 	var sum float64
 	for _, c := range snap.Cells {

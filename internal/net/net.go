@@ -208,35 +208,11 @@ type Deployment struct {
 	m       *netMetrics
 }
 
-// Rows and Cols return the grid shape; Width and Height the deployment
-// area in metres.
-func (d *Deployment) Rows() int       { return d.rows }
-func (d *Deployment) Cols() int       { return d.cols }
 func (d *Deployment) Width() float64  { return float64(d.cols) * d.cfg.CellM }
 func (d *Deployment) Height() float64 { return float64(d.rows) * d.cfg.CellM }
 
 // APPos returns AP a's position.
 func (d *Deployment) APPos(a int) geom.Point { return d.apPos[a] }
-
-// Serving returns the AP currently serving tag id, or -1 when unknown.
-func (d *Deployment) Serving(id uint8) int {
-	for _, t := range d.tags {
-		if t.id == id {
-			return t.serving
-		}
-	}
-	return -1
-}
-
-// TagPos returns tag id's current true position.
-func (d *Deployment) TagPos(id uint8) (geom.Point, bool) {
-	for _, t := range d.tags {
-		if t.id == id {
-			return t.pos, true
-		}
-	}
-	return geom.Point{}, false
-}
 
 // New builds a deployment: APs on the grid, tags placed uniformly over
 // the area from the placement stream, and every tag associated with its

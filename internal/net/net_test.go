@@ -133,8 +133,8 @@ func TestGridGeometry(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if d.Rows() != 2 || d.Cols() != 3 {
-		t.Fatalf("grid %dx%d, want 2x3", d.Rows(), d.Cols())
+	if d.rows != 2 || d.cols != 3 {
+		t.Fatalf("grid %dx%d, want 2x3", d.rows, d.cols)
 	}
 	if w, h := d.Width(), d.Height(); w != 24 || h != 16 {
 		t.Fatalf("area %gx%g m, want 24x16", w, h)

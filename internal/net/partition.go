@@ -2,6 +2,7 @@ package net
 
 import (
 	"fmt"
+	"strconv"
 
 	"mmtag/internal/par"
 )
@@ -95,6 +96,19 @@ func PartitionDeployment(aps, tags, shards int) ([]ShardSpec, error) {
 		}
 	}
 	return specs, nil
+}
+
+// ParseTagID parses the {id} path segment of GET /v1/tags/{id}: plain
+// decimal digits (leading zeros allowed) naming a tag ID in 0..255, the
+// range of the air-frame TagID. A sign, a space or any other character
+// is an error. The router and every shard parse with this one rule, so
+// a token the shard would reject never reaches it through the router.
+func ParseTagID(s string) (uint8, error) {
+	id, err := strconv.ParseUint(s, 10, 8)
+	if err != nil {
+		return 0, fmt.Errorf("tag id must be 0..255, got %q", s)
+	}
+	return uint8(id), nil
 }
 
 // OwnerShard returns the shard index owning global tag ID id under the

@@ -292,9 +292,6 @@ func NewScale(cfg ScaleConfig) (*ScaleDeployment, error) {
 	return s, nil
 }
 
-// Rows and Cols return the grid shape; Width and Height the area.
-func (s *ScaleDeployment) Rows() int       { return s.rows }
-func (s *ScaleDeployment) Cols() int       { return s.cols }
 func (s *ScaleDeployment) Width() float64  { return float64(s.cols) * s.cfg.CellM }
 func (s *ScaleDeployment) Height() float64 { return float64(s.rows) * s.cfg.CellM }
 

@@ -29,10 +29,6 @@ var logBuckets = func() []float64 {
 	return out
 }()
 
-// LogBucketBounds returns a copy of the power-of-two upper bounds a
-// LogHistogram observes into (+Inf is implicit).
-func LogBucketBounds() []float64 { return append([]float64(nil), logBuckets...) }
-
 // logBucketIndex maps a value to its bucket in O(1) via the float's
 // exponent — no binary search, no per-family bound slice walks.
 func logBucketIndex(v float64) int {

@@ -9,7 +9,7 @@ import (
 )
 
 func TestLogBucketIndex(t *testing.T) {
-	bounds := LogBucketBounds()
+	bounds := logBuckets
 	cases := []struct {
 		v    float64
 		want float64 // expected upper bound (+Inf for overflow)

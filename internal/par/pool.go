@@ -82,14 +82,6 @@ func New(cfg Config) *Pool {
 	return p
 }
 
-// Workers returns the pool's concurrency bound (1 for a nil pool).
-func (p *Pool) Workers() int {
-	if p == nil {
-		return 1
-	}
-	return p.workers
-}
-
 // Close stops the workers and waits for them to exit. It is idempotent
 // and safe on a nil pool. Map calls in flight finish normally (the
 // callers run their remaining shards themselves), and Map remains

@@ -4,15 +4,11 @@ import (
 	"math/rand"
 	"runtime/debug"
 	"testing"
-
-	"mmtag/internal/dsp"
 )
 
 // TestKernelsZeroAlloc pins the zero-allocation contract of the
-// waveform-chain *To kernels: once warm, a call with a dst of enough
-// capacity (and, for ShapeTo, an arena) allocates nothing. Both shaper
-// geometries run, so the FIR's direct-form and overlap-save paths are
-// each covered.
+// equalizer and gain-correction *To kernels: once warm, a call with a
+// dst of enough capacity allocates nothing.
 func TestKernelsZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under the race detector")
@@ -23,25 +19,12 @@ func TestKernelsZeroAlloc(t *testing.T) {
 	for i := range syms {
 		syms[i] = complex(float64(rng.Intn(2)*2-1), float64(rng.Intn(2)*2-1))
 	}
-	ar := dsp.NewArena()
 	zeroAlloc := func(name string, f func()) {
 		t.Helper()
 		f() // warm plans, spectra and arena free lists
 		if allocs := testing.AllocsPerRun(20, f); allocs != 0 {
 			t.Errorf("%s allocates %.1f/op, want 0", name, allocs)
 		}
-	}
-	for _, geom := range []struct{ sps, span int }{{4, 6}, {8, 8}} {
-		s, err := NewShaper(0.35, geom.sps, geom.span)
-		if err != nil {
-			t.Fatal(err)
-		}
-		wave := s.ShapeTo(nil, syms, nil)
-		matched := make([]complex128, len(wave))
-		decisions := make([]complex128, len(syms))
-		zeroAlloc("ShapeTo", func() { s.ShapeTo(wave, syms, ar) })
-		zeroAlloc("MatchedFilterTo", func() { s.MatchedFilterTo(matched, wave) })
-		zeroAlloc("SampleTo", func() { s.SampleTo(decisions, matched, 2*s.Delay(), len(syms)) })
 	}
 	w := []complex128{0.1, 1, -0.2i, 0.05}
 	eq := make([]complex128, len(syms))

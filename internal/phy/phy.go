@@ -1,7 +1,7 @@
 // Package phy implements the physical-layer toolkit shared by the mmTag
-// access point and the simulator: constellations and bit mapping, root
-// raised cosine pulse shaping, matched filtering, symbol timing and phase
-// recovery, and bit-error-rate measurement.
+// access point and the simulator: constellations, bit mapping and
+// slicing, gain and phase correction, carrier-offset estimation, channel
+// sounding, linear equalization, and bit-error-rate measurement.
 //
 // The constellation abstraction is deliberately generic ([]complex128
 // points): the tag's backscatter alphabets (vanatta.StateSet) plug in

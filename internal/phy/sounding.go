@@ -40,46 +40,6 @@ func EstimateCIR(rx, train []complex128, maxLag int) ([]complex128, error) {
 	return h, nil
 }
 
-// EstimateCIRLS estimates the channel impulse response by least
-// squares: it solves min_h sum_n |rx[n] - sum_k h[k] train[n-k]|² over
-// the training span. Unlike the correlative EstimateCIR, the LS
-// estimate carries no autocorrelation-sidelobe bias, which matters for
-// short training sequences (tens of symbols).
-func EstimateCIRLS(rx, train []complex128, maxLag int) ([]complex128, error) {
-	if len(train) == 0 {
-		return nil, fmt.Errorf("phy: empty training sequence")
-	}
-	if maxLag < 1 {
-		return nil, fmt.Errorf("phy: maxLag must be >= 1, got %d", maxLag)
-	}
-	if len(train) < 2*maxLag {
-		return nil, fmt.Errorf("phy: training too short (%d) for %d taps", len(train), maxLag)
-	}
-	if len(rx) < len(train) {
-		return nil, fmt.Errorf("phy: need %d samples, got %d", len(train), len(rx))
-	}
-	// Normal equations over n in [maxLag-1, len(train)).
-	a := make([][]complex128, maxLag)
-	b := make([]complex128, maxLag)
-	for k := 0; k < maxLag; k++ {
-		a[k] = make([]complex128, maxLag)
-	}
-	for n := maxLag - 1; n < len(train); n++ {
-		for k := 0; k < maxLag; k++ {
-			xk := cmplx.Conj(train[n-k])
-			b[k] += xk * rx[n]
-			for j := 0; j < maxLag; j++ {
-				a[k][j] += xk * train[n-j]
-			}
-		}
-	}
-	h, err := solveComplex(a, b)
-	if err != nil {
-		return nil, fmt.Errorf("phy: CIR least squares: %w", err)
-	}
-	return h, nil
-}
-
 // EstimateCIRWithOffset jointly estimates the channel taps and a
 // constant offset by least squares:
 //

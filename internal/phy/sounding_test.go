@@ -65,50 +65,6 @@ func TestEstimateCIRValidation(t *testing.T) {
 	}
 }
 
-func TestEstimateCIRLSExact(t *testing.T) {
-	// LS sounding is exact on a noiseless linear channel even for short
-	// training (unlike correlation, which carries sidelobe bias).
-	rng := rand.New(rand.NewSource(43))
-	train := pnTraining(rng, 63)
-	h := []complex128{1, complex(0.8, 0.3), 0, -0.1i}
-	rx := make([]complex128, len(train))
-	for n := range rx {
-		for k, hv := range h {
-			if n-k >= 0 {
-				rx[n] += hv * train[n-k]
-			}
-		}
-	}
-	got, err := EstimateCIRLS(rx, train, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for k := range h {
-		if cmplx.Abs(got[k]-h[k]) > 1e-9 {
-			t.Fatalf("tap %d: %v, want %v", k, got[k], h[k])
-		}
-	}
-}
-
-func TestEstimateCIRLSValidation(t *testing.T) {
-	if _, err := EstimateCIRLS(nil, nil, 2); err == nil {
-		t.Fatal("empty training must error")
-	}
-	if _, err := EstimateCIRLS(make([]complex128, 10), make([]complex128, 10), 0); err == nil {
-		t.Fatal("zero maxLag must error")
-	}
-	if _, err := EstimateCIRLS(make([]complex128, 10), make([]complex128, 10), 8); err == nil {
-		t.Fatal("too-short training must error")
-	}
-	if _, err := EstimateCIRLS(make([]complex128, 3), make([]complex128, 10), 2); err == nil {
-		t.Fatal("short rx must error")
-	}
-	// All-zero training is singular.
-	if _, err := EstimateCIRLS(make([]complex128, 20), make([]complex128, 20), 2); err == nil {
-		t.Fatal("zero training must error")
-	}
-}
-
 func TestEstimateCIRWithOffsetExact(t *testing.T) {
 	rng := rand.New(rand.NewSource(44))
 	train := pnTraining(rng, 63)

@@ -333,11 +333,12 @@ func (rt *Router) handleReport(w http.ResponseWriter, r *http.Request) {
 // router degrades to the last cached snapshot entry (207 + stale
 // marker) before giving up with 503.
 func (rt *Router) handleTag(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.Atoi(r.PathValue("id"))
+	tid, err := net.ParseTagID(r.PathValue("id"))
 	if err != nil {
-		http.Error(w, "tag id must be an integer", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	id := int(tid)
 	owner := net.OwnerShard(rt.cfg.Tags, len(rt.shards), id)
 	if owner < 0 {
 		http.Error(w, fmt.Sprintf("tag %d outside the fleet population", id), http.StatusNotFound)

@@ -5,10 +5,10 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"strconv"
 	"time"
 
 	"mmtag/internal/fault"
+	"mmtag/internal/net"
 )
 
 // cfgChange is one staged hot-reload: a validated plan plus the channel
@@ -57,12 +57,12 @@ func (d *Daemon) handleTags(w http.ResponseWriter, r *http.Request) {
 }
 
 func (d *Daemon) handleTag(w http.ResponseWriter, r *http.Request) {
-	id, err := strconv.ParseUint(r.PathValue("id"), 10, 8)
+	id, err := net.ParseTagID(r.PathValue("id"))
 	if err != nil {
-		http.Error(w, "tag id must be 0..255", http.StatusBadRequest)
+		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	body, ok, err := d.Snapshot().TagJSON(r.Context(), uint8(id))
+	body, ok, err := d.Snapshot().TagJSON(r.Context(), id)
 	if err == nil && !ok {
 		http.Error(w, fmt.Sprintf("tag %d not deployed", id), http.StatusNotFound)
 		return

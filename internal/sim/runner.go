@@ -400,11 +400,12 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 					rep.SDMGroups = len(groups)
 				}
 			}
-			// Idle cycle (roster empty or everyone backing off): advance
-			// one probe slot so the loop always makes time progress.
-			if eng.Now() == cycleStart {
-				eng.RunUntil(cycleStart + slotTime)
-			}
+		}
+		// Idle cycle (roster empty, everyone backing off, or every poll
+		// failed): advance one probe slot so the loop always makes time
+		// progress.
+		if eng.Now() == cycleStart {
+			eng.RunUntil(cycleStart + slotTime)
 		}
 	}
 	spPoll.End()

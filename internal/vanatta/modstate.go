@@ -205,15 +205,12 @@ func NewModulator(set StateSet, symbolRate, sampleRate, riseTime float64) (*Modu
 	return m, nil
 }
 
-// SamplesPerSymbol returns the oversampling factor.
-func (m *Modulator) SamplesPerSymbol() int { return m.sps }
-
 // Reset re-settles the modulator at symbol 0's state.
 func (m *Modulator) Reset() { m.cur = m.set.Gamma(0) }
 
 // Waveform appends the Γ(t) samples for the symbol-index stream to dst
-// and returns it. Each symbol occupies SamplesPerSymbol samples; the
-// trajectory relaxes exponentially toward the target state.
+// and returns it. Each symbol occupies the modulator's samples per
+// symbol; the trajectory relaxes exponentially toward the target state.
 func (m *Modulator) Waveform(dst []complex128, symbols []int) []complex128 {
 	// Pre-grow once: the append-growth copies otherwise dominate long
 	// waveform generation.
