@@ -102,7 +102,7 @@ router-soak:
 	sh scripts/router_smoke.sh
 
 # Short smoke runs of every fuzz target (Go only fuzzes one target per
-# invocation).
+# invocation). CI's fuzz smoke step runs this list.
 fuzz:
 	$(GO) test -run xxx -fuzz FuzzDeriveSeed -fuzztime 10s ./internal/par/
 	$(GO) test -run xxx -fuzz FuzzTraceJSONL -fuzztime 10s ./cmd/mmtag-trace/
@@ -110,3 +110,5 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLinkBudgetOutcome -fuzztime 10s ./internal/link/
 	$(GO) test -run xxx -fuzz FuzzOffsetImmunePeak -fuzztime 10s ./internal/dsp/
 	$(GO) test -run xxx -fuzz FuzzTagIDParity -fuzztime 10s ./internal/router/
+	$(GO) test -run xxx -fuzz FuzzBlockedAt -fuzztime 10s ./internal/sim/
+	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/

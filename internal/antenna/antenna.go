@@ -1,5 +1,5 @@
 // Package antenna models the antennas used by the mmTag simulator:
-// element patterns (isotropic, microstrip patch) and uniform linear
+// the microstrip patch element pattern and uniform linear
 // arrays with electronic steering, as used by the access point for
 // beam-swept tag discovery and space-division multiplexing.
 //
@@ -25,15 +25,6 @@ type Element interface {
 	// PeakGain returns the element's boresight linear power gain.
 	PeakGain() float64
 }
-
-// Isotropic is an ideal 0 dBi element.
-type Isotropic struct{}
-
-// Gain returns 1 for all angles.
-func (Isotropic) Gain(theta float64) float64 { return 1 }
-
-// PeakGain returns 1.
-func (Isotropic) PeakGain() float64 { return 1 }
 
 // Patch models a microstrip patch element with a cosine-power pattern:
 //
@@ -157,6 +148,3 @@ func (u *ULA) Directivity() float64 {
 
 // Deg converts degrees to radians.
 func Deg(d float64) float64 { return d * math.Pi / 180 }
-
-// ToDeg converts radians to degrees.
-func ToDeg(r float64) float64 { return r * 180 / math.Pi }

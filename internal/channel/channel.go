@@ -1,8 +1,8 @@
 // Package channel models the radio channel between the mmTag access point
-// and its tags: path loss (free-space, log-distance, two-ray), the
-// monostatic backscatter link budget, static clutter, small-scale fading,
-// and the waveform-level impairments (AWGN, carrier frequency offset,
-// oscillator phase noise, Doppler, blockage) used by the high-fidelity
+// and its tags: path loss (free-space, log-distance), the monostatic
+// backscatter link budget, wall echoes and self-interference, static
+// clutter placement, small-scale fading, and the waveform-level
+// impairments (AWGN, multipath taps) used by the high-fidelity
 // simulations.
 //
 // The package has two faces that are kept consistent by tests: an
@@ -67,67 +67,6 @@ func (l LogDistance) Loss(d float64) float64 {
 
 // Name implements PathLoss.
 func (l LogDistance) Name() string { return fmt.Sprintf("log-distance-%.1f", l.Exponent) }
-
-// TwoRay is the two-ray ground-reflection model: free-space with a
-// ground-bounce interference ripple at short range, 4th-power decay past
-// the crossover distance.
-type TwoRay struct {
-	FreqHz float64
-	TxH    float64 // transmitter height, metres
-	RxH    float64 // receiver height, metres
-	// ReflectCoeff is the ground reflection coefficient (typically ~ -1
-	// for grazing incidence).
-	ReflectCoeff float64
-}
-
-// NewTwoRay returns a two-ray model with Γ = -0.9 ground reflection.
-func NewTwoRay(freqHz, txH, rxH float64) TwoRay {
-	return TwoRay{FreqHz: freqHz, TxH: txH, RxH: rxH, ReflectCoeff: -0.9}
-}
-
-// Loss implements PathLoss via coherent summation of the direct and
-// ground-reflected rays.
-func (t TwoRay) Loss(d float64) float64 {
-	if d <= 0 {
-		panic("channel: two-ray distance must be positive")
-	}
-	lambda := rfmath.Wavelength(t.FreqHz)
-	dDirect := math.Hypot(d, t.TxH-t.RxH)
-	dReflect := math.Hypot(d, t.TxH+t.RxH)
-	phase := 2 * math.Pi * (dReflect - dDirect) / lambda
-	// Field amplitudes fall as 1/d; sum coherently.
-	aD := 1 / dDirect
-	aR := t.ReflectCoeff / dReflect
-	re := aD + aR*math.Cos(phase)
-	im := aR * math.Sin(phase)
-	fieldPow := re*re + im*im
-	if fieldPow <= 0 {
-		fieldPow = 1e-30 // perfect null: clamp rather than divide by zero
-	}
-	// Normalize so that a lone direct ray reproduces free space.
-	lambdaTerm := lambda / (4 * math.Pi)
-	return 1 / (fieldPow * lambdaTerm * lambdaTerm)
-}
-
-// Name implements PathLoss.
-func (t TwoRay) Name() string { return "two-ray" }
-
-// WithAtmosphere wraps a path-loss model with distance-proportional
-// atmospheric absorption (dB/km from rfmath.AtmosphericLossDBPerKm) —
-// relevant for the outdoor/roadside deployments of related mmWave
-// backscatter work; negligible at indoor mmTag ranges.
-type WithAtmosphere struct {
-	Base        PathLoss
-	LossDBPerKm float64
-}
-
-// Loss implements PathLoss.
-func (w WithAtmosphere) Loss(d float64) float64 {
-	return w.Base.Loss(d) * rfmath.FromDB(w.LossDBPerKm*d/1000)
-}
-
-// Name implements PathLoss.
-func (w WithAtmosphere) Name() string { return w.Base.Name() + "+atmosphere" }
 
 // Link is the monostatic backscatter link between the AP and one tag,
 // combining geometry, antennas and the tag reflector into the uplink
@@ -273,20 +212,6 @@ type Clutter struct {
 	RCS float64
 	// DistanceM is its range from the AP.
 	DistanceM float64
-}
-
-// EchoPowerW returns the clutter echo power at the AP receiver.
-func (c Clutter) EchoPowerW(txPowerW, apGain, freqHz float64) float64 {
-	return rfmath.RadarEquation(txPowerW, apGain, c.RCS, c.DistanceM, freqHz)
-}
-
-// TotalClutterPowerW sums the echo power of a clutter field.
-func TotalClutterPowerW(clutter []Clutter, txPowerW, apGain, freqHz float64) float64 {
-	sum := 0.0
-	for _, c := range clutter {
-		sum += c.EchoPowerW(txPowerW, apGain, freqHz)
-	}
-	return sum
 }
 
 // WallEchoPowerW returns the monostatic echo power from a large flat

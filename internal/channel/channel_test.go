@@ -56,32 +56,6 @@ func TestLogDistanceExponent(t *testing.T) {
 	}
 }
 
-func TestTwoRayApproachesFreeSpaceUpClose(t *testing.T) {
-	tr := NewTwoRay(testFreq, 1.5, 1.5)
-	// Average the ripple over a short window and compare to free space:
-	// at short range the direct ray dominates on average.
-	sum, n := 0.0, 0
-	for d := 1.0; d < 2.0; d += 0.01 {
-		sum += 10 * math.Log10(tr.Loss(d)/rfmath.FSPL(d, testFreq))
-		n++
-	}
-	avg := sum / float64(n)
-	if math.Abs(avg) > 6 {
-		t.Fatalf("two-ray average offset %g dB from free space", avg)
-	}
-}
-
-func TestTwoRayFourthPowerFarField(t *testing.T) {
-	tr := NewTwoRay(testFreq, 1.5, 1.5)
-	// The textbook 40 dB/decade asymptote requires a perfect ground
-	// reflection; with |Γ| < 1 a free-space residual survives.
-	tr.ReflectCoeff = -1
-	slope := 10 * math.Log10(tr.Loss(50000)/tr.Loss(5000))
-	if math.Abs(slope-40) > 1 {
-		t.Fatalf("far-field slope %g dB/decade, want ~40", slope)
-	}
-}
-
 func TestLinkValidate(t *testing.T) {
 	l := testLink(t, 2)
 	if err := l.Validate(); err != nil {
@@ -115,7 +89,10 @@ func TestLinkMatchesRadarBudget(t *testing.T) {
 		t.Fatal(err)
 	}
 	tagGain := l.Reflector.MonostaticGain(0)
-	want := rfmath.BackscatterReceivedPower(l.TxPowerW, l.APGain, tagGain, 1, 3, testFreq)
+	// Monostatic radar budget: Pt·Gap²·Gtag²·λ⁴ / ((4π)⁴·d⁴).
+	lambda := rfmath.Wavelength(testFreq)
+	want := l.TxPowerW * l.APGain * l.APGain * tagGain * tagGain *
+		math.Pow(lambda, 4) / (math.Pow(4*math.Pi, 4) * math.Pow(3, 4))
 	if math.Abs(rfmath.DB(pr/want)) > 1e-9 {
 		t.Fatalf("link budget %g, radar budget %g", pr, want)
 	}
@@ -214,37 +191,6 @@ func TestTagIncidentPower(t *testing.T) {
 	}
 }
 
-func TestClutterEcho(t *testing.T) {
-	c := Clutter{RCS: 1, DistanceM: 4}
-	p := c.EchoPowerW(rfmath.FromDBm(20), rfmath.FromDB(20), testFreq)
-	want := rfmath.RadarEquation(rfmath.FromDBm(20), rfmath.FromDB(20), 1, 4, testFreq)
-	if math.Abs(p-want) > 1e-18 {
-		t.Fatal("clutter echo must follow the radar equation")
-	}
-	total := TotalClutterPowerW([]Clutter{c, c, c}, rfmath.FromDBm(20), rfmath.FromDB(20), testFreq)
-	if math.Abs(total-3*p) > 1e-18 {
-		t.Fatal("clutter power must sum")
-	}
-}
-
-func TestWithAtmosphere(t *testing.T) {
-	base := FreeSpace{FreqHz: testFreq}
-	atmo := WithAtmosphere{Base: base, LossDBPerKm: rfmath.AtmosphericLossDBPerKm(testFreq, 0)}
-	// Indoors at 8 m the correction is well under 0.01 dB.
-	extra := rfmath.DB(atmo.Loss(8) / base.Loss(8))
-	if extra <= 0 || extra > 0.01 {
-		t.Fatalf("indoor atmospheric extra %g dB", extra)
-	}
-	// At 1 km the extra equals the per-km figure exactly.
-	extraKm := rfmath.DB(atmo.Loss(1000) / base.Loss(1000))
-	if math.Abs(extraKm-rfmath.AtmosphericLossDBPerKm(testFreq, 0)) > 1e-9 {
-		t.Fatalf("1 km extra %g dB", extraKm)
-	}
-	if atmo.Name() != "free-space+atmosphere" {
-		t.Fatal("name")
-	}
-}
-
 func TestLinkSINRWithInterference(t *testing.T) {
 	clean := testLink(t, 2)
 	noisy := testLink(t, 2)
@@ -274,7 +220,7 @@ func TestWallEchoPowerW(t *testing.T) {
 	pt := rfmath.FromDBm(20)
 	g := rfmath.FromDB(20)
 	// Image model: one-way Friis over 2d with the reflection loss.
-	want := rfmath.FriisReceivedPower(pt, g, g, 2*1.5, testFreq) * rfmath.FromDB(-3)
+	want := pt * g * g / rfmath.FSPL(2*1.5, testFreq) * rfmath.FromDB(-3)
 	got := WallEchoPowerW(pt, g, testFreq, 1.5, 3)
 	if math.Abs(rfmath.DB(got/want)) > 1e-9 {
 		t.Fatalf("wall echo %g, want %g", got, want)

@@ -3,7 +3,6 @@ package channel
 import (
 	"fmt"
 	"math"
-	"math/cmplx"
 	"math/rand"
 
 	"mmtag/internal/dsp"
@@ -61,48 +60,6 @@ func awgnFused(rng *fastrand.Rand, x []complex128, sigma float64) {
 	rng.SetCore(core)
 }
 
-// NoiseFor returns the noise power that yields the requested linear SNR
-// for a signal of the given power.
-func NoiseFor(signalPower, snr float64) float64 {
-	if snr <= 0 {
-		panic("channel: SNR must be positive")
-	}
-	return signalPower / snr
-}
-
-// ApplyCFO rotates x by a carrier frequency offset of cfoHz at the given
-// sample rate, in place, starting from the supplied phase (radians).
-// It returns the phase after the block so streams can continue.
-func ApplyCFO(x []complex128, cfoHz, sampleRate, startPhase float64) float64 {
-	step := 2 * math.Pi * cfoHz / sampleRate
-	phase := startPhase
-	for i := range x {
-		x[i] *= cmplx.Exp(complex(0, phase))
-		phase += step
-	}
-	return math.Mod(phase, 2*math.Pi)
-}
-
-// PhaseNoise applies a Wiener (random-walk) phase noise process to x in
-// place, parameterized by the oscillator's Lorentzian 3 dB linewidth in
-// hertz. The per-sample phase increment variance is 2*pi*linewidth/fs.
-// Returns x.
-func PhaseNoise(rng *rand.Rand, x []complex128, linewidthHz, sampleRate float64) []complex128 {
-	if linewidthHz < 0 {
-		panic("channel: linewidth must be >= 0")
-	}
-	if linewidthHz == 0 {
-		return x
-	}
-	sigma := math.Sqrt(2 * math.Pi * linewidthHz / sampleRate)
-	phase := 0.0
-	for i := range x {
-		phase += rng.NormFloat64() * sigma
-		x[i] *= cmplx.Exp(complex(0, phase))
-	}
-	return x
-}
-
 // Tap is one discrete multipath component.
 type Tap struct {
 	DelaySamples int
@@ -158,53 +115,4 @@ func ApplyTapsTo(dst, x []complex128, taps []Tap) []complex128 {
 		}
 	}
 	return out
-}
-
-// Doppler returns the Doppler shift in hertz for a radial velocity
-// (m/s, positive = closing) at the carrier. For backscatter the shift is
-// doubled because the wave traverses the moving path twice.
-func Doppler(velocityMS, freqHz float64, backscatter bool) float64 {
-	shift := velocityMS * freqHz / 299_792_458.0
-	if backscatter {
-		return 2 * shift
-	}
-	return shift
-}
-
-// Blockage is an on-off shadowing process: intervals during which the
-// link is attenuated by a fixed amount (a person crossing the beam).
-type Blockage struct {
-	// AttenuationDB is the extra loss while blocked (human body at
-	// mmWave: 20-40 dB).
-	AttenuationDB float64
-	// Events lists [start, end) sample intervals that are blocked.
-	Events [][2]int
-}
-
-// Apply scales the blocked intervals of x in place and returns x.
-func (b Blockage) Apply(x []complex128) []complex128 {
-	g := complex(math.Pow(10, -b.AttenuationDB/20), 0)
-	for _, ev := range b.Events {
-		start, end := ev[0], ev[1]
-		if start < 0 {
-			start = 0
-		}
-		if end > len(x) {
-			end = len(x)
-		}
-		for i := start; i < end; i++ {
-			x[i] *= g
-		}
-	}
-	return x
-}
-
-// Blocked reports whether sample i falls inside a blockage event.
-func (b Blockage) Blocked(i int) bool {
-	for _, ev := range b.Events {
-		if i >= ev[0] && i < ev[1] {
-			return true
-		}
-	}
-	return false
 }

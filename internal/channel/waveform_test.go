@@ -8,15 +8,23 @@ import (
 	"testing"
 	"testing/quick"
 
-	"mmtag/internal/dsp"
 	"mmtag/internal/fastrand"
 )
+
+// power returns the mean squared magnitude of x.
+func power(x []complex128) float64 {
+	s := 0.0
+	for _, v := range x {
+		s += real(v)*real(v) + imag(v)*imag(v)
+	}
+	return s / float64(len(x))
+}
 
 func TestAWGNPowerAndReproducibility(t *testing.T) {
 	n := 200000
 	x := make([]complex128, n)
 	AWGN(rand.New(rand.NewSource(1)), x, 4)
-	p := dsp.Power(x)
+	p := power(x)
 	if math.Abs(p-4) > 0.1 {
 		t.Fatalf("noise power %g, want 4", p)
 	}
@@ -71,114 +79,6 @@ func TestAWGNKeepsGeneratorOnStack(t *testing.T) {
 		AWGN(fastrand.New(3), x, 0.5)
 	}); allocs != 0 {
 		t.Errorf("AWGN with a fresh generator allocates %.1f/op, want 0", allocs)
-	}
-}
-
-func TestNoiseFor(t *testing.T) {
-	if np := NoiseFor(2, 4); math.Abs(np-0.5) > 1e-15 {
-		t.Fatalf("NoiseFor = %g", np)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for non-positive SNR")
-		}
-	}()
-	NoiseFor(1, 0)
-}
-
-// toneFrequency measures the frequency (Hz) of a clean complex tone from
-// its mean sample-to-sample phase advance.
-func toneFrequency(x []complex128, sampleRate float64) float64 {
-	var acc complex128
-	for i := 1; i < len(x); i++ {
-		acc += x[i] * cmplx.Conj(x[i-1])
-	}
-	return cmplx.Phase(acc) / (2 * math.Pi) * sampleRate
-}
-
-// spectrumPeak returns the largest bin of the rectangular-window
-// periodogram |DFT(x)|²/len(x); len(x) must be a power of two.
-func spectrumPeak(x []complex128) float64 {
-	var dft func(x []complex128) []complex128
-	dft = func(x []complex128) []complex128 {
-		n := len(x)
-		if n == 1 {
-			return []complex128{x[0]}
-		}
-		even := make([]complex128, n/2)
-		odd := make([]complex128, n/2)
-		for i := 0; i < n/2; i++ {
-			even[i], odd[i] = x[2*i], x[2*i+1]
-		}
-		e, o := dft(even), dft(odd)
-		out := make([]complex128, n)
-		for k := 0; k < n/2; k++ {
-			w := cmplx.Exp(complex(0, -2*math.Pi*float64(k)/float64(n))) * o[k]
-			out[k], out[k+n/2] = e[k]+w, e[k]-w
-		}
-		return out
-	}
-	peak := 0.0
-	for _, v := range dft(x) {
-		peak = math.Max(peak, (real(v)*real(v)+imag(v)*imag(v))/float64(len(x)))
-	}
-	return peak
-}
-
-func TestApplyCFOShiftsSpectrum(t *testing.T) {
-	fs := 1e6
-	x := dsp.Tone(100e3, fs, 4096, 0)
-	ApplyCFO(x, 50e3, fs, 0)
-	got := toneFrequency(x, fs)
-	if math.Abs(got-150e3) > 100 {
-		t.Fatalf("CFO-shifted frequency %g, want 150 kHz", got)
-	}
-}
-
-func TestApplyCFOPhaseContinuity(t *testing.T) {
-	fs := 1e6
-	a := dsp.Tone(0, fs, 64, 0)
-	b := dsp.Tone(0, fs, 64, 0)
-	joined := dsp.Tone(0, fs, 128, 0)
-	ph := ApplyCFO(a, 10e3, fs, 0)
-	ApplyCFO(b, 10e3, fs, ph)
-	ApplyCFO(joined, 10e3, fs, 0)
-	for i := 0; i < 64; i++ {
-		if cmplx.Abs(a[i]-joined[i]) > 1e-9 || cmplx.Abs(b[i]-joined[64+i]) > 1e-9 {
-			t.Fatal("CFO must be phase-continuous across blocks")
-		}
-	}
-}
-
-func TestPhaseNoisePreservesMagnitude(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	x := dsp.Tone(0.1, 1, 1024, 0)
-	PhaseNoise(rng, x, 100e3, 100e6)
-	for i, v := range x {
-		if math.Abs(cmplx.Abs(v)-1) > 1e-12 {
-			t.Fatalf("phase noise changed magnitude at %d", i)
-		}
-	}
-}
-
-func TestPhaseNoiseBroadensLinewidth(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	fs := 10e6
-	clean := dsp.Tone(0, fs, 16384, 0)
-	dirty := dsp.Tone(0, fs, 16384, 0)
-	PhaseNoise(rng, dirty, 50e3, fs)
-	// The clean tone concentrates power in one bin; the noisy one leaks.
-	if spectrumPeak(dirty) > spectrumPeak(clean)/2 {
-		t.Fatal("phase noise should spread the tone across bins")
-	}
-	// Zero linewidth is a no-op.
-	x := dsp.Tone(0, fs, 64, 0.5)
-	y := append([]complex128{}, x...)
-	PhaseNoise(rng, y, 0, fs)
-	for i := range x {
-		if x[i] != y[i] {
-			t.Fatal("zero linewidth must not modify the signal")
-		}
 	}
 }
 
@@ -269,57 +169,6 @@ func TestApplyTapsToZeroAlloc(t *testing.T) {
 	}
 }
 
-func TestDoppler(t *testing.T) {
-	// 1 m/s at 24 GHz: ~80 Hz one-way, 160 Hz backscatter.
-	oneWay := Doppler(1, 24e9, false)
-	if math.Abs(oneWay-80.06) > 0.1 {
-		t.Fatalf("one-way Doppler %g Hz, want ~80", oneWay)
-	}
-	if back := Doppler(1, 24e9, true); math.Abs(back-2*oneWay) > 1e-12 {
-		t.Fatal("backscatter Doppler must double")
-	}
-	// Receding target: negative shift.
-	if Doppler(-1, 24e9, false) >= 0 {
-		t.Fatal("receding Doppler must be negative")
-	}
-}
-
-func TestBlockage(t *testing.T) {
-	b := Blockage{AttenuationDB: 20, Events: [][2]int{{2, 4}, {90, 200}}}
-	x := make([]complex128, 8)
-	for i := range x {
-		x[i] = 1
-	}
-	b.Apply(x)
-	for i, v := range x {
-		wantBlocked := i == 2 || i == 3
-		if wantBlocked != b.Blocked(i) {
-			t.Fatalf("Blocked(%d) inconsistent", i)
-		}
-		if wantBlocked {
-			if math.Abs(cmplx.Abs(v)-0.1) > 1e-12 {
-				t.Fatalf("blocked sample %d amplitude %g, want 0.1", i, cmplx.Abs(v))
-			}
-		} else if v != 1 {
-			t.Fatalf("unblocked sample %d modified", i)
-		}
-	}
-}
-
-func TestBlockageClampsRanges(t *testing.T) {
-	b := Blockage{AttenuationDB: 20, Events: [][2]int{{-5, 100}}}
-	x := make([]complex128, 3)
-	for i := range x {
-		x[i] = 1
-	}
-	b.Apply(x) // must not panic
-	for _, v := range x {
-		if math.Abs(cmplx.Abs(v)-0.1) > 1e-12 {
-			t.Fatal("clamped event must still attenuate")
-		}
-	}
-}
-
 func TestAWGNSNRConsistency(t *testing.T) {
 	// End-to-end consistency: a unit-power tone plus AWGN at power 1/snr
 	// measures back the requested SNR from the noise actually added.
@@ -337,7 +186,7 @@ func TestAWGNSNRConsistency(t *testing.T) {
 		for i := range x {
 			x[i] -= clean[i]
 		}
-		got := 10 * math.Log10(dsp.Power(clean)/dsp.Power(x))
+		got := 10 * math.Log10(power(clean)/power(x))
 		return math.Abs(got-snrDB) < 0.2
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {

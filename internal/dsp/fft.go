@@ -2,11 +2,8 @@
 // kernels of the mmTag receive chain: planned radix-2 FFTs (one lane or
 // an interleaved batch of lanes), cross-correlation against a preamble
 // (direct, FFT and product-table paths), the fused offset-immune
-// preamble search, and the scratch arenas and lane batches they run on.
-// Window functions, an NCO with tone and chirp generators, and sample
-// arithmetic (scale, add, delay, power, decimate) remain for the tests
-// that build signals with them; no program calls them, and
-// scripts/reach_allow.txt lists them as staged deletions.
+// preamble search, signal energy, and the scratch arenas and lane
+// batches they run on.
 //
 // Signals are []complex128 sample slices at an implicit sample rate that
 // callers carry alongside. All transforms are deterministic. Each

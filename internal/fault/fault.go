@@ -152,6 +152,9 @@ func (p Plan) Empty() bool {
 // Validate reports parameter errors.
 func (p Plan) Validate() error {
 	if b := p.Blockage; b != nil {
+		if err := finite("blockage", b.AttenuationDB, b.MeanClearS, b.MeanBlockedS); err != nil {
+			return err
+		}
 		if b.AttenuationDB <= 0 {
 			return fmt.Errorf("fault: blockage attenuation must be positive, got %g dB", b.AttenuationDB)
 		}
@@ -160,6 +163,9 @@ func (p Plan) Validate() error {
 		}
 	}
 	if d := p.Death; d != nil {
+		if err := finite("death", d.Prob, d.MeanLifetimeS); err != nil {
+			return err
+		}
 		if d.Prob < 0 || d.Prob > 1 {
 			return fmt.Errorf("fault: death probability must be in [0,1], got %g", d.Prob)
 		}
@@ -168,8 +174,15 @@ func (p Plan) Validate() error {
 		}
 	}
 	if b := p.Brownout; b != nil {
-		if b.IncidentPowerW <= 0 {
-			return fmt.Errorf("fault: brownout incident power must be positive, got %g W", b.IncidentPowerW)
+		h := b.Harvester
+		if err := finite("brownout", b.IncidentPowerW, b.PeriodS, b.LoadW,
+			h.SplitFraction, h.PeakEfficiency, h.KneeW, h.SensitivityW); err != nil {
+			return err
+		}
+		// A subnormal power (below about -3046 dBm) keeps too few bits
+		// for String's dBm form to parse back to the same plan.
+		if b.IncidentPowerW < 0x1p-1022 {
+			return fmt.Errorf("fault: brownout incident power must be positive and normal, got %g W", b.IncidentPowerW)
 		}
 		if b.PeriodS < 0 || b.LoadW < 0 {
 			return fmt.Errorf("fault: brownout period and load must be non-negative")
@@ -179,13 +192,31 @@ func (p Plan) Validate() error {
 		}
 	}
 	if a := p.AckLoss; a != nil {
+		if err := finite("ack-loss", a.Prob); err != nil {
+			return err
+		}
 		if a.Prob < 0 || a.Prob > 1 {
 			return fmt.Errorf("fault: ack-loss probability must be in [0,1], got %g", a.Prob)
 		}
 	}
 	if s := p.SNRNoise; s != nil {
+		if err := finite("SNR noise", s.SigmaDB); err != nil {
+			return err
+		}
 		if s.SigmaDB < 0 {
 			return fmt.Errorf("fault: SNR noise sigma must be non-negative, got %g dB", s.SigmaDB)
+		}
+	}
+	return nil
+}
+
+// finite rejects NaN and ±Inf among a fault kind's parameters. Every
+// range check in Validate is false for NaN, so without this a NaN would
+// pass them all.
+func finite(kind string, vs ...float64) error {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("fault: %s parameters must be finite, got %g", kind, v)
 		}
 	}
 	return nil

@@ -277,6 +277,63 @@ func TestFaultParseSpecRoundTrip(t *testing.T) {
 	}
 }
 
+// FuzzParseSpec feeds arbitrary POST /config fault specs through the
+// parser: it must never panic, and a spec it accepts must hold only
+// finite values and be a fixed point of String ∘ ParseSpec.
+func FuzzParseSpec(f *testing.F) {
+	for _, spec := range []string{
+		"blockage=30,clear=0.02,blocked=0.005",
+		"death=0.25,lifetime=0.05",
+		"brownout=-10,period=0.01",
+		"ackloss=0.2",
+		"snr=2",
+		"blockage=40,clear=0.01,blocked=0.002,death=0.5,lifetime=0.02,brownout=-8,period=0.03,ackloss=0.3,snr=1.5",
+		"death=NaN",
+		",",
+	} {
+		f.Add(spec)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		p, err := ParseSpec(spec)
+		if err != nil || p == nil {
+			return
+		}
+		var vs []float64
+		if b := p.Blockage; b != nil {
+			vs = append(vs, b.AttenuationDB, b.MeanClearS, b.MeanBlockedS)
+		}
+		if d := p.Death; d != nil {
+			vs = append(vs, d.Prob, d.MeanLifetimeS)
+		}
+		if b := p.Brownout; b != nil {
+			vs = append(vs, b.IncidentPowerW, b.PeriodS, b.LoadW)
+		}
+		if a := p.AckLoss; a != nil {
+			vs = append(vs, a.Prob)
+		}
+		if s := p.SNRNoise; s != nil {
+			vs = append(vs, s.SigmaDB)
+		}
+		for _, v := range vs {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("%q accepted with a non-finite value: %+v", spec, p)
+			}
+		}
+		round, err := ParseSpec(p.String())
+		if err != nil {
+			t.Fatalf("%q: re-parse of %q: %v", spec, p.String(), err)
+		}
+		// An empty plan renders as "", which parses to the nil plan.
+		got := ""
+		if round != nil {
+			got = round.String()
+		}
+		if got != p.String() {
+			t.Fatalf("%q: %q round-trips to %q", spec, p.String(), got)
+		}
+	})
+}
+
 // TestFaultParseSpecErrors pins the parser's rejection surface.
 func TestFaultParseSpecErrors(t *testing.T) {
 	cases := map[string]string{
@@ -291,6 +348,14 @@ func TestFaultParseSpecErrors(t *testing.T) {
 		"ackloss=-0.1":            "must be in [0,1]",
 		"blockage=-3":             "must be positive",
 		"snr=-1":                  "must be non-negative",
+		"death=NaN":               "must be finite",
+		"ackloss=NaN":             "must be finite",
+		"snr=+Inf":                "must be finite",
+		"blockage=NaN":            "must be finite",
+		"brownout=NaN":            "must be finite",
+		"blockage=30,clear=NaN":   "must be finite",
+		"death=0.5,lifetime=NaN":  "must be finite",
+		"brownout=-3200":          "must be positive and normal",
 	}
 	for spec, wantSub := range cases {
 		_, err := ParseSpec(spec)

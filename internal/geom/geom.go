@@ -108,18 +108,6 @@ func (r Room) PathAttenuationDB(a, b Point) float64 {
 	return total
 }
 
-// Mirror reflects p across the infinite line through the segment.
-func Mirror(p Point, s Segment) Point {
-	d := s.B.Sub(s.A)
-	n2 := d.Dot(d)
-	if n2 == 0 {
-		return p
-	}
-	t := p.Sub(s.A).Dot(d) / n2
-	foot := s.A.Add(d.Scale(t))
-	return foot.Add(foot.Sub(p))
-}
-
 // perpendicularFoot returns the closest point on the segment's infinite
 // line to p, its parameter t, and whether the foot lies within the
 // segment.

@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 	"testing"
-	"testing/quick"
 )
 
 func TestPointOps(t *testing.T) {
@@ -86,31 +85,6 @@ func TestAddObstacleValidation(t *testing.T) {
 	}
 	if err := r.AddObstacle(Point{1, 1}, Point{2, 2}, -1); err == nil {
 		t.Fatal("negative attenuation must error")
-	}
-}
-
-func TestMirror(t *testing.T) {
-	// Mirror across the X axis.
-	wall := Segment{A: Point{0, 0}, B: Point{10, 0}}
-	m := Mirror(Point{3, 4}, wall)
-	if math.Abs(m.X-3) > 1e-12 || math.Abs(m.Y+4) > 1e-12 {
-		t.Fatalf("mirror %v", m)
-	}
-	// Mirroring twice returns the original.
-	f := func(x, y float64) bool {
-		if math.IsNaN(x) || math.IsNaN(y) || math.Abs(x) > 1e6 || math.Abs(y) > 1e6 {
-			return true
-		}
-		p := Point{x, y}
-		back := Mirror(Mirror(p, wall), wall)
-		return Dist(p, back) < 1e-6
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
-		t.Fatal(err)
-	}
-	// Degenerate segment: identity.
-	if Mirror(Point{1, 2}, Segment{A: Point{3, 3}, B: Point{3, 3}}) != (Point{1, 2}) {
-		t.Fatal("degenerate mirror must be identity")
 	}
 }
 

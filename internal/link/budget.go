@@ -17,9 +17,6 @@ import (
 // safe for concurrent use.
 type Budget struct{}
 
-// Tier implements Engine.
-func (Budget) Tier() Tier { return TierBudget }
-
 // clamp01 sanitizes a probability: NaN and negative collapse to 0,
 // anything above 1 to 1. The closed-form expressions can emit NaN for
 // adversarial SNR inputs (fuzzed geometry), and a probability must

@@ -56,8 +56,6 @@ func (t Tier) String() string {
 // build one engine per worker (they are cheap next to the work they
 // model).
 type Engine interface {
-	// Tier reports the engine's fidelity level.
-	Tier() Tier
 	// MeasureBER estimates the bit error rate of the modulation at
 	// linear Eb/N0 over nBits transmitted bits, drawing randomness from
 	// rng. Tier c is closed-form and ignores rng.

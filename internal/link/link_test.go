@@ -169,13 +169,3 @@ func TestWaveformFrameSuccessEndpoints(t *testing.T) {
 		t.Fatal("NaN SNR must fail closed")
 	}
 }
-
-func TestEngineInterfaces(t *testing.T) {
-	engines := []Engine{NewWaveform(), NewSymbol(), Budget{}}
-	want := []Tier{TierWaveform, TierSymbol, TierBudget}
-	for i, e := range engines {
-		if e.Tier() != want[i] {
-			t.Fatalf("engine %d reports tier %v, want %v", i, e.Tier(), want[i])
-		}
-	}
-}

@@ -43,9 +43,6 @@ func NewSymbol() *Symbol {
 	return &Symbol{consts: make(map[string]*phy.Constellation)}
 }
 
-// Tier implements Engine.
-func (s *Symbol) Tier() Tier { return TierSymbol }
-
 // constellation resolves (and caches) the phy constellation for a tag
 // alphabet name.
 func (s *Symbol) constellation(name string) (*phy.Constellation, error) {

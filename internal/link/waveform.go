@@ -60,9 +60,6 @@ func NewWaveform() *Waveform {
 	}
 }
 
-// Tier implements Engine.
-func (w *Waveform) Tier() Tier { return TierWaveform }
-
 func (w *Waveform) constellation(name string) (*phy.Constellation, error) {
 	if c, ok := w.consts[name]; ok {
 		return c, nil

@@ -224,39 +224,6 @@ func TestFaultDegradedRatePick(t *testing.T) {
 	}
 }
 
-// TestForgetRecoveryRebuild: Forget clears roster and health state, and
-// a subsequent Discover rebuilds a working roster from scratch.
-func TestForgetRecoveryRebuild(t *testing.T) {
-	st := healthStation(t, fourTagMedium(), StationConfig{Health: DefaultHealthConfig()})
-	if st.Discover() != 3 {
-		t.Fatal("setup discovery")
-	}
-	v := st.RosterVersion()
-	pollCycle(st)
-	st.Forget()
-	if len(st.Known()) != 0 {
-		t.Fatal("Forget must clear the roster")
-	}
-	if st.RosterVersion() <= v {
-		t.Fatal("Forget must bump the roster version")
-	}
-	if st.Health(1) != HealthActive {
-		t.Fatal("Forget must clear health state (unknown tags read active)")
-	}
-	if st.Discover() != 3 {
-		t.Fatal("re-discovery must find all tags again")
-	}
-	// Forgotten tags were never Lost, so re-adoption is not a recovery.
-	if st.Stats.Rediscoveries != 0 {
-		t.Fatalf("Rediscoveries = %d, want 0 after Forget", st.Stats.Rediscoveries)
-	}
-	for _, rec := range st.Known() {
-		if res, err := st.Poll(rec.ID); err != nil || res.Attempts == 0 {
-			t.Fatalf("post-Forget poll of %d = (%+v, %v)", rec.ID, res, err)
-		}
-	}
-}
-
 // TestHealthDisabledNeverEvicts pins backward compatibility: with the
 // zero HealthConfig, consecutive failures change nothing.
 func TestHealthDisabledNeverEvicts(t *testing.T) {

@@ -229,15 +229,11 @@ func TestDiscoveryFindsAudibleTags(t *testing.T) {
 	}
 	// Beam records point near the tags' angles.
 	if math.Abs(known[0].BeamRad-antenna.Deg(-20)) > antenna.Deg(5) {
-		t.Fatalf("tag 1 beam %g", antenna.ToDeg(known[0].BeamRad))
+		t.Fatalf("tag 1 beam %g", known[0].BeamRad*180/math.Pi)
 	}
 	// Re-discovery finds nothing new.
 	if again := st.Discover(); again != 0 {
 		t.Fatalf("re-discovery found %d", again)
-	}
-	st.Forget()
-	if len(st.Known()) != 0 {
-		t.Fatal("Forget must clear")
 	}
 }
 

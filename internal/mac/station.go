@@ -349,13 +349,6 @@ func (s *Station) Known() []TagRecord {
 	return out
 }
 
-// Forget clears the discovery state, including health bookkeeping.
-func (s *Station) Forget() {
-	s.known = make(map[uint8]*TagRecord)
-	s.health = make(map[uint8]*healthState)
-	s.rosterV++
-}
-
 // probeAirBits is the discovery probe response size (a TypeProbe frame
 // with a 4-byte payload).
 func (s *Station) probeAirBits() int {

@@ -44,7 +44,7 @@ func NewSpans(rec *trace.Recorder, simClock func() float64, reg *Registry) *Span
 }
 
 // SetClock (re)binds the tracker's simulated-time source — the scenario
-// runner calls this once its discrete-event engine exists. Nil trackers
+// runner calls this once its simulated clock exists. Nil trackers
 // and nil clocks no-op.
 func (s *Spans) SetClock(clock func() float64) {
 	if s == nil || clock == nil {

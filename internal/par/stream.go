@@ -30,11 +30,3 @@ func (s *Stream) Uint64() uint64 {
 func (s *Stream) Float64() float64 {
 	return float64(s.Uint64()>>11) / (1 << 53)
 }
-
-// Intn returns a uniform draw in [0, n). It panics when n <= 0.
-func (s *Stream) Intn(n int) int {
-	if n <= 0 {
-		panic("par: Stream.Intn requires n > 0")
-	}
-	return int(s.Uint64() % uint64(n))
-}

@@ -45,21 +45,6 @@ func TestStreamFloat64Range(t *testing.T) {
 	}
 }
 
-func TestStreamIntn(t *testing.T) {
-	s := NewStream(3, 9)
-	seen := make(map[int]bool)
-	for i := 0; i < 1000; i++ {
-		v := s.Intn(7)
-		if v < 0 || v >= 7 {
-			t.Fatalf("Intn(7) returned %d", v)
-		}
-		seen[v] = true
-	}
-	if len(seen) != 7 {
-		t.Fatalf("Intn(7) visited %d of 7 values in 1000 draws", len(seen))
-	}
-}
-
 func TestStreamMatchesDeriveKeying(t *testing.T) {
 	// The first draw is a pure function of Derive(root, shard): the
 	// stream state starts there, so two roots that Derive apart must

@@ -10,21 +10,6 @@ import (
 	"mmtag/internal/fastrand"
 )
 
-// BitErrors counts positions where a and b differ. Slices must have equal
-// length.
-func BitErrors(a, b []byte) (int, error) {
-	if len(a) != len(b) {
-		return 0, fmt.Errorf("phy: bit slice length mismatch (%d vs %d)", len(a), len(b))
-	}
-	n := 0
-	for i := range a {
-		if (a[i] != 0) != (b[i] != 0) {
-			n++
-		}
-	}
-	return n, nil
-}
-
 // RandomBits fills a new slice of n pseudo-random bits from rng.
 func RandomBits(rng fastrand.RNG, n int) []byte {
 	bits := make([]byte, n)
@@ -129,23 +114,4 @@ func measureBERRef(c *Constellation, ebn0 float64, nBits int, rng *rand.Rand) BE
 	ar.PutInts(syms)
 	dsp.PutArena(ar)
 	return BERResult{Bits: nBits, Errors: errs}
-}
-
-// MeasureSER runs a symbol-error Monte-Carlo at linear Es/N0.
-func MeasureSER(c *Constellation, esn0 float64, nSymbols int, rng *rand.Rand) (float64, error) {
-	if esn0 <= 0 || nSymbols <= 0 {
-		return 0, fmt.Errorf("phy: invalid SER parameters")
-	}
-	es := c.MeanPower()
-	n0 := es / esn0
-	sigma := math.Sqrt(n0 / 2)
-	errs := 0
-	for i := 0; i < nSymbols; i++ {
-		s := rng.Intn(c.Size())
-		r := c.Point(s) + complex(rng.NormFloat64()*sigma, rng.NormFloat64()*sigma)
-		if c.Nearest(r) != s {
-			errs++
-		}
-	}
-	return float64(errs) / float64(nSymbols), nil
 }

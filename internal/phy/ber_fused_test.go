@@ -28,7 +28,7 @@ func stagedBER(t *testing.T, c *Constellation, ebn0 float64, nBits int, rng *ran
 	}
 	rxSyms := c.Slice(nil, rx)
 	rxBits := c.UnmapBits(nil, rxSyms)[:nBits]
-	errs, err := BitErrors(txBits, rxBits)
+	errs, err := bitErrors(txBits, rxBits)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -49,7 +49,7 @@ func TestMeasureBERMatchesStagedReference(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []*Constellation{NewBPSK(), NewQPSK(), NewOOK(), q16} {
+	for _, c := range []*Constellation{newBPSK(), NewQPSK(), newOOK(), q16} {
 		for _, nBits := range []int{1, 7, 1000, 1001, 1003} {
 			for _, ebn0 := range []float64{1, 5} {
 				want := stagedBER(t, c, ebn0, nBits, rand.New(rand.NewSource(77)))
@@ -141,7 +141,7 @@ func TestMeasureBERFusedMatchesReference(t *testing.T) {
 // Both checks run before MeasureBER picks its body, so the fused body
 // never sees an invalid Eb/N0 or bit count.
 func TestMeasureBERFastValidation(t *testing.T) {
-	c := NewOOK()
+	c := newOOK()
 	rng := fastrand.New(1)
 	if _, err := MeasureBER(c, 0, 100, rng); err == nil {
 		t.Fatal("zero Eb/N0 must error")

@@ -76,8 +76,8 @@ func calibCurves(t *testing.T) []struct {
 		c      *Constellation
 		theory func(float64) float64
 	}{
-		{"ook", NewOOK(), rfmath.BEROOK},
-		{"bpsk", NewBPSK(), rfmath.BERBPSK},
+		{"ook", newOOK(), rfmath.BEROOK},
+		{"bpsk", newBPSK(), rfmath.BERBPSK},
 		{"qpsk", NewQPSK(), rfmath.BERQPSK},
 		{"8psk", psk8, func(e float64) float64 { return rfmath.BERMPSK(8, e) }},
 		{"16qam", qam16, func(e float64) float64 { return rfmath.BERMQAM(16, e) }},

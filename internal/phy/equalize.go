@@ -130,15 +130,3 @@ func EqualizeTo(dst, rx, w []complex128, delay int) []complex128 {
 	}
 	return out
 }
-
-// CombinedResponse returns conv(h, w), the end-to-end impulse response
-// an equalizer achieves — ideally a delayed delta.
-func CombinedResponse(h, w []complex128) []complex128 {
-	out := make([]complex128, len(h)+len(w)-1)
-	for i, hv := range h {
-		for j, wv := range w {
-			out[i+j] += hv * wv
-		}
-	}
-	return out
-}

@@ -177,22 +177,10 @@ func (c *Constellation) EVM(rx []complex128) float64 {
 // Classic constellations used as references and by the active-radio
 // baseline.
 
-// NewBPSK returns {+1, -1} labelled 0, 1.
-func NewBPSK() *Constellation {
-	c, _ := NewConstellation("bpsk", []complex128{1, -1})
-	return c
-}
-
 // NewQPSK returns Gray-labelled unit-circle QPSK matching the tag's
 // four-state alphabet.
 func NewQPSK() *Constellation {
 	c, _ := NewConstellation("qpsk", []complex128{1, 1i, -1i, -1})
-	return c
-}
-
-// NewOOK returns {0, 1}.
-func NewOOK() *Constellation {
-	c, _ := NewConstellation("ook", []complex128{0, 1})
 	return c
 }
 

@@ -1,6 +1,7 @@
 package phy
 
 import (
+	"fmt"
 	"math"
 	"math/cmplx"
 	"math/rand"
@@ -9,6 +10,33 @@ import (
 
 	"mmtag/internal/vanatta"
 )
+
+// newBPSK returns {+1, -1} labelled 0, 1.
+func newBPSK() *Constellation {
+	c, _ := NewConstellation("bpsk", []complex128{1, -1})
+	return c
+}
+
+// newOOK returns {0, 1}.
+func newOOK() *Constellation {
+	c, _ := NewConstellation("ook", []complex128{0, 1})
+	return c
+}
+
+// bitErrors counts positions where a and b differ, treating any nonzero
+// byte as a 1. Slices must have equal length.
+func bitErrors(a, b []byte) (int, error) {
+	if len(a) != len(b) {
+		return 0, fmt.Errorf("bit slice length mismatch (%d vs %d)", len(a), len(b))
+	}
+	n := 0
+	for i := range a {
+		if (a[i] != 0) != (b[i] != 0) {
+			n++
+		}
+	}
+	return n, nil
+}
 
 func TestNewConstellationValidation(t *testing.T) {
 	if _, err := NewConstellation("x", []complex128{1}); err == nil {
@@ -56,7 +84,7 @@ func TestBitsPerSymbol(t *testing.T) {
 
 func TestMapUnmapRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	for _, c := range []*Constellation{NewBPSK(), NewQPSK(), NewOOK()} {
+	for _, c := range []*Constellation{newBPSK(), NewQPSK(), newOOK()} {
 		f := func(seed int64) bool {
 			r := rand.New(rand.NewSource(seed))
 			n := c.BitsPerSymbol() * (1 + r.Intn(100))
@@ -66,7 +94,7 @@ func TestMapUnmapRoundTrip(t *testing.T) {
 			if len(back) != len(bits) {
 				return false
 			}
-			e, _ := BitErrors(bits, back)
+			e, _ := bitErrors(bits, back)
 			return e == 0
 		}
 		if err := quick.Check(f, &quick.Config{MaxCount: 20, Rand: rng}); err != nil {
@@ -123,10 +151,10 @@ func TestVanAttaStateSetsPlugIn(t *testing.T) {
 }
 
 func TestMeanPower(t *testing.T) {
-	if p := NewBPSK().MeanPower(); math.Abs(p-1) > 1e-15 {
+	if p := newBPSK().MeanPower(); math.Abs(p-1) > 1e-15 {
 		t.Fatalf("BPSK mean power %g", p)
 	}
-	if p := NewOOK().MeanPower(); math.Abs(p-0.5) > 1e-15 {
+	if p := newOOK().MeanPower(); math.Abs(p-0.5) > 1e-15 {
 		t.Fatalf("OOK mean power %g", p)
 	}
 }
@@ -198,5 +226,5 @@ func TestPointPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewBPSK().Point(5)
+	newBPSK().Point(5)
 }

@@ -24,9 +24,9 @@ func sliceTestAlphabets(t *testing.T) map[string]*Constellation {
 	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
 
 	out := map[string]*Constellation{
-		"bpsk": NewBPSK(),
+		"bpsk": newBPSK(),
 		"qpsk": NewQPSK(), // axis-aligned diamond
-		"ook":  NewOOK(),
+		"ook":  newOOK(),
 	}
 	for name, pts := range map[string][]complex128{
 		"qam16":          qam16,

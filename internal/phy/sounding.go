@@ -124,18 +124,3 @@ func RMSDelaySpread(h []complex128, sampleRate float64) (float64, error) {
 	}
 	return math.Sqrt(second/total) / sampleRate, nil
 }
-
-// DominantTap returns the index and complex gain of the strongest CIR
-// tap. It returns (-1, 0) for an empty CIR.
-func DominantTap(h []complex128) (int, complex128) {
-	best, bestMag := -1, -1.0
-	for i, v := range h {
-		if m := cmplx.Abs(v); m > bestMag {
-			best, bestMag = i, m
-		}
-	}
-	if best < 0 {
-		return -1, 0
-	}
-	return best, h[best]
-}

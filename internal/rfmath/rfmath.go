@@ -1,8 +1,7 @@
 // Package rfmath provides the radio-frequency arithmetic used throughout
 // the mmTag simulator: decibel conversions, thermal-noise computation,
-// cascade noise-figure analysis, free-space and backscatter (radar
-// equation) link budgets, and the Gaussian tail functions needed for
-// closed-form bit-error-rate expressions.
+// free-space path loss, and the Gaussian tail functions needed for
+// closed-form bit-error-rate and packet-error-rate expressions.
 //
 // All functions are pure and allocation-free; power quantities are watts
 // unless the name says otherwise (dB, dBm, dBi).
@@ -11,10 +10,7 @@
 // packet level.
 package rfmath
 
-import (
-	"errors"
-	"math"
-)
+import "math"
 
 // Physical constants.
 const (
@@ -39,12 +35,6 @@ func DBm(watts float64) float64 { return 10*math.Log10(watts) + 30 }
 // FromDBm converts dBm to watts.
 func FromDBm(dbm float64) float64 { return math.Pow(10, (dbm-30)/10) }
 
-// VoltDB converts a linear amplitude (voltage) ratio to decibels.
-func VoltDB(ratio float64) float64 { return 20 * math.Log10(ratio) }
-
-// FromVoltDB converts decibels to a linear amplitude (voltage) ratio.
-func FromVoltDB(db float64) float64 { return math.Pow(10, db/20) }
-
 // Wavelength returns the free-space wavelength in metres for a carrier
 // frequency in hertz.
 func Wavelength(freqHz float64) float64 { return SpeedOfLight / freqHz }
@@ -62,34 +52,6 @@ func NoiseFloorDBm(bandwidthHz, noiseFigureDB float64) float64 {
 	return DBm(ThermalNoisePower(RoomTemperatureK, bandwidthHz)) + noiseFigureDB
 }
 
-// Stage describes one element of a receiver cascade for Friis noise-figure
-// analysis.
-type Stage struct {
-	Name    string
-	GainDB  float64 // power gain of the stage (negative for lossy stages)
-	NFigure float64 // noise figure of the stage, dB
-}
-
-// CascadeNoiseFigure computes the total noise figure (dB) of a chain of
-// stages using the Friis formula. It returns an error for an empty chain.
-func CascadeNoiseFigure(stages []Stage) (float64, error) {
-	if len(stages) == 0 {
-		return 0, errors.New("rfmath: empty cascade")
-	}
-	totalF := 0.0
-	gainProduct := 1.0
-	for i, s := range stages {
-		f := FromDB(s.NFigure)
-		if i == 0 {
-			totalF = f
-		} else {
-			totalF += (f - 1) / gainProduct
-		}
-		gainProduct *= FromDB(s.GainDB)
-	}
-	return DB(totalF), nil
-}
-
 // FSPL returns the free-space path loss as a linear power ratio (>= 1)
 // for distance d metres at frequency freqHz. It panics if d or freqHz is
 // not positive, as that indicates a programming error in the caller.
@@ -101,117 +63,13 @@ func FSPL(d, freqHz float64) float64 {
 	return x * x
 }
 
-// FSPLdB returns the free-space path loss in dB.
-func FSPLdB(d, freqHz float64) float64 { return DB(FSPL(d, freqHz)) }
-
-// FriisReceivedPower returns received power (watts) over a one-way link:
-//
-//	Pr = Pt * Gt * Gr * (lambda / 4 pi d)^2
-//
-// txPower in watts, gains as linear power ratios.
-func FriisReceivedPower(txPower, txGain, rxGain, d, freqHz float64) float64 {
-	return txPower * txGain * rxGain / FSPL(d, freqHz)
-}
-
-// BackscatterReceivedPower returns the power (watts) received back at the
-// reader/AP in a monostatic backscatter link:
-//
-//	Pr = Pt * Gap^2 * Gtag^2 * lambda^4 / ((4 pi)^4 d^4) * eta
-//
-// where Gap is the AP antenna gain (used for both TX and RX), Gtag is the
-// tag's retro-reflection gain toward the AP (per pass), and eta is the
-// modulation/backscatter efficiency (fraction of incident power re-radiated,
-// accounting for switch insertion loss and modulation depth). All gains are
-// linear power ratios.
-func BackscatterReceivedPower(txPower, apGain, tagGain, eta, d, freqHz float64) float64 {
-	oneWay := FSPL(d, freqHz)
-	return txPower * apGain * apGain * tagGain * tagGain * eta / (oneWay * oneWay)
-}
-
-// RadarEquation returns the received power (watts) for a monostatic radar
-// observing a target of radar cross section rcs (m^2) at distance d.
-func RadarEquation(txPower, antennaGain, rcs, d, freqHz float64) float64 {
-	lambda := Wavelength(freqHz)
-	num := txPower * antennaGain * antennaGain * lambda * lambda * rcs
-	den := math.Pow(4*math.Pi, 3) * math.Pow(d, 4)
-	return num / den
-}
-
-// EffectiveAperture returns the effective aperture (m^2) of an antenna with
-// the given linear gain at frequency freqHz.
-func EffectiveAperture(gain, freqHz float64) float64 {
-	lambda := Wavelength(freqHz)
-	return gain * lambda * lambda / (4 * math.Pi)
-}
-
-// ApertureGain returns the linear gain of an aperture of area m^2 with the
-// given efficiency at frequency freqHz.
-func ApertureGain(area, efficiency, freqHz float64) float64 {
-	lambda := Wavelength(freqHz)
-	return 4 * math.Pi * area * efficiency / (lambda * lambda)
-}
-
-// AtmosphericLossDBPerKm returns the specific attenuation (dB/km) of
-// the atmosphere at the given frequency and rain rate (mm/h), using a
-// compact fit of the ITU gaseous + rain models good enough for link
-// budgets in the 10-100 GHz range: oxygen/water-vapour absorption with
-// the 60 GHz O2 resonance, plus the standard aR^b rain power law.
-// Indoors (rain 0, 24 GHz) the result is ~0.1 dB/km — negligible at
-// mmTag ranges, which is why the main budgets omit it; it matters for
-// the outdoor/roadside deployments of the related work.
-func AtmosphericLossDBPerKm(freqHz, rainRateMmH float64) float64 {
-	if freqHz <= 0 {
-		panic("rfmath: frequency must be positive")
-	}
-	if rainRateMmH < 0 {
-		panic("rfmath: rain rate must be >= 0")
-	}
-	fGHz := freqHz / 1e9
-	// Gaseous: a gentle water-vapour floor rising with f², plus a
-	// Lorentzian bump for the 60 GHz oxygen complex (peak ~15 dB/km).
-	gas := 0.05 + 0.0001*fGHz*fGHz
-	d := fGHz - 60
-	gas += 15 / (1 + d*d/16)
-	// Rain: ITU-style k*R^alpha with frequency-dependent coefficients
-	// (fit through the published 20-40 GHz values).
-	if rainRateMmH > 0 {
-		k := 0.0001 * math.Pow(fGHz, 2.3)
-		alpha := 1.1
-		gas += k * math.Pow(rainRateMmH, alpha)
-	}
-	return gas
-}
-
 // Q is the Gaussian tail probability Q(x) = P(N(0,1) > x).
 func Q(x float64) float64 { return 0.5 * math.Erfc(x/math.Sqrt2) }
-
-// QInv returns the inverse of Q via bisection on the monotone Q function.
-// It accepts p in (0, 1) and panics otherwise.
-func QInv(p float64) float64 {
-	if p <= 0 || p >= 1 {
-		panic("rfmath: QInv requires p in (0,1)")
-	}
-	lo, hi := -40.0, 40.0
-	for i := 0; i < 200; i++ {
-		mid := (lo + hi) / 2
-		if Q(mid) > p {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
 
 // EbN0FromSNR converts an SNR measured in the signal bandwidth to Eb/N0,
 // given the data rate (bits/s) and noise bandwidth (Hz). All linear.
 func EbN0FromSNR(snr, bitRate, bandwidthHz float64) float64 {
 	return snr * bandwidthHz / bitRate
-}
-
-// SNRFromEbN0 is the inverse of EbN0FromSNR.
-func SNRFromEbN0(ebn0, bitRate, bandwidthHz float64) float64 {
-	return ebn0 * bitRate / bandwidthHz
 }
 
 // Closed-form bit error rates for coherent detection on an AWGN channel.
@@ -259,10 +117,4 @@ func PERFromBER(ber float64, n int) float64 {
 	}
 	// 1 - (1-ber)^n computed stably for tiny ber.
 	return -math.Expm1(float64(n) * math.Log1p(-ber))
-}
-
-// ShannonCapacity returns the AWGN channel capacity in bits/s for the given
-// bandwidth (Hz) and linear SNR.
-func ShannonCapacity(bandwidthHz, snr float64) float64 {
-	return bandwidthHz * math.Log2(1+snr)
 }

@@ -41,11 +41,6 @@ func TestDBmConversions(t *testing.T) {
 	approx(t, FromDBm(-30), 1e-6, 1e-15, "-30 dBm = 1 uW")
 }
 
-func TestVoltDB(t *testing.T) {
-	approx(t, VoltDB(10), 20, 1e-12, "voltage ratio 10 = 20 dB")
-	approx(t, FromVoltDB(6), 1.9953, 1e-3, "6 dB voltage")
-}
-
 func TestWavelength(t *testing.T) {
 	// 24 GHz -> 12.49 mm
 	approx(t, Wavelength(24e9), 0.012491, 1e-6, "24 GHz wavelength")
@@ -62,49 +57,14 @@ func TestThermalNoise(t *testing.T) {
 	approx(t, NoiseFloorDBm(1e6, 5), -108.98, 0.02, "1 MHz floor + 5 dB NF")
 }
 
-func TestCascadeNoiseFigure(t *testing.T) {
-	// Classic example: LNA (G=20 dB, NF=2 dB) followed by a lossy mixer
-	// (G=-7 dB, NF=7 dB): total NF barely above the LNA's.
-	nf, err := CascadeNoiseFigure([]Stage{
-		{Name: "lna", GainDB: 20, NFigure: 2},
-		{Name: "mixer", GainDB: -7, NFigure: 7},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if nf < 2 || nf > 2.3 {
-		t.Fatalf("cascade NF = %v, want within (2, 2.3)", nf)
-	}
-
-	// Single stage: NF is the stage's NF.
-	nf, err = CascadeNoiseFigure([]Stage{{GainDB: 10, NFigure: 3.5}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	approx(t, nf, 3.5, 1e-9, "single-stage NF")
-
-	if _, err := CascadeNoiseFigure(nil); err == nil {
-		t.Fatal("expected error for empty cascade")
-	}
-}
-
-func TestCascadeOrderMatters(t *testing.T) {
-	lna := Stage{GainDB: 20, NFigure: 2}
-	atten := Stage{GainDB: -10, NFigure: 10}
-	nfGood, _ := CascadeNoiseFigure([]Stage{lna, atten})
-	nfBad, _ := CascadeNoiseFigure([]Stage{atten, lna})
-	if nfGood >= nfBad {
-		t.Fatalf("LNA-first NF %v should beat attenuator-first NF %v", nfGood, nfBad)
-	}
-}
-
 func TestFSPL(t *testing.T) {
+	fsplDB := func(d, f float64) float64 { return DB(FSPL(d, f)) }
 	// At 24 GHz, 1 m: 20log10(4*pi*1/0.01249) ~= 60.05 dB.
-	approx(t, FSPLdB(1, 24e9), 60.05, 0.1, "FSPL 1 m @ 24 GHz")
+	approx(t, fsplDB(1, 24e9), 60.05, 0.1, "FSPL 1 m @ 24 GHz")
 	// Doubling distance adds 6.02 dB.
-	approx(t, FSPLdB(2, 24e9)-FSPLdB(1, 24e9), 6.0206, 1e-3, "FSPL distance doubling")
+	approx(t, fsplDB(2, 24e9)-fsplDB(1, 24e9), 6.0206, 1e-3, "FSPL distance doubling")
 	// Doubling frequency adds 6.02 dB.
-	approx(t, FSPLdB(1, 48e9)-FSPLdB(1, 24e9), 6.0206, 1e-3, "FSPL frequency doubling")
+	approx(t, fsplDB(1, 48e9)-fsplDB(1, 24e9), 6.0206, 1e-3, "FSPL frequency doubling")
 }
 
 func TestFSPLPanics(t *testing.T) {
@@ -116,113 +76,12 @@ func TestFSPLPanics(t *testing.T) {
 	FSPL(0, 24e9)
 }
 
-func TestFriisReceivedPower(t *testing.T) {
-	// Symmetric check against the dB budget.
-	pt := FromDBm(20)
-	gt, gr := FromDB(20), FromDB(10)
-	pr := FriisReceivedPower(pt, gt, gr, 3, 24e9)
-	wantDBm := 20 + 20 + 10 - FSPLdB(3, 24e9)
-	approx(t, DBm(pr), wantDBm, 1e-9, "Friis vs dB budget")
-}
-
-func TestBackscatterReceivedPower(t *testing.T) {
-	pt := FromDBm(20)
-	ap := FromDB(20)
-	tag := FromDB(15)
-	pr := BackscatterReceivedPower(pt, ap, tag, 1, 2, 24e9)
-	wantDBm := 20 + 2*20 + 2*15 - 2*FSPLdB(2, 24e9)
-	approx(t, DBm(pr), wantDBm, 1e-9, "backscatter vs dB budget")
-
-	// Backscatter power falls with the fourth power of distance: doubling
-	// the distance costs 12.04 dB.
-	pr2 := BackscatterReceivedPower(pt, ap, tag, 1, 4, 24e9)
-	approx(t, DBm(pr)-DBm(pr2), 12.0412, 1e-3, "40 dB/decade slope")
-
-	// Efficiency scales linearly.
-	prHalf := BackscatterReceivedPower(pt, ap, tag, 0.5, 2, 24e9)
-	approx(t, prHalf/pr, 0.5, 1e-12, "eta scaling")
-}
-
-func TestRadarEquationConsistency(t *testing.T) {
-	// A retro-reflector with gain G has RCS = G^2 * lambda^2 / (4 pi) when
-	// eta = 1; the radar equation and the backscatter formula must agree.
-	freq := 24e9
-	lambda := Wavelength(freq)
-	tagGain := FromDB(15)
-	rcs := tagGain * tagGain * lambda * lambda / (4 * math.Pi)
-	pt, apG, d := FromDBm(20), FromDB(20), 3.0
-	prRadar := RadarEquation(pt, apG, rcs, d, freq)
-	prBack := BackscatterReceivedPower(pt, apG, tagGain, 1, d, freq)
-	approx(t, DB(prRadar/prBack), 0, 1e-9, "radar eq vs backscatter eq")
-}
-
-func TestApertureRoundTrip(t *testing.T) {
-	f := func(gainDB float64) bool {
-		g := FromDB(math.Mod(math.Abs(gainDB), 40))
-		a := EffectiveAperture(g, 24e9)
-		back := ApertureGain(a, 1, 24e9)
-		return math.Abs(DB(back/g)) < 1e-9
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestAtmosphericLoss(t *testing.T) {
-	// Clear air at 24 GHz: a fraction of a dB/km.
-	a24 := AtmosphericLossDBPerKm(24e9, 0)
-	if a24 < 0.05 || a24 > 1 {
-		t.Fatalf("24 GHz clear-air loss %g dB/km", a24)
-	}
-	// The 60 GHz oxygen resonance dominates everything nearby.
-	a60 := AtmosphericLossDBPerKm(60e9, 0)
-	if a60 < 10 || a60 > 20 {
-		t.Fatalf("60 GHz loss %g dB/km, want ~15", a60)
-	}
-	if a60 < 5*AtmosphericLossDBPerKm(38e9, 0) {
-		t.Fatal("60 GHz must dwarf 38 GHz")
-	}
-	// Rain adds monotonically.
-	r0 := AtmosphericLossDBPerKm(24e9, 0)
-	r10 := AtmosphericLossDBPerKm(24e9, 10)
-	r50 := AtmosphericLossDBPerKm(24e9, 50)
-	if !(r0 < r10 && r10 < r50) {
-		t.Fatalf("rain ordering: %g, %g, %g", r0, r10, r50)
-	}
-	// Heavy rain at 24 GHz is in the handful-of-dB/km class.
-	if r50 < 1 || r50 > 20 {
-		t.Fatalf("50 mm/h rain loss %g dB/km", r50)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for negative rain")
-		}
-	}()
-	AtmosphericLossDBPerKm(24e9, -1)
-}
-
 func TestQFunction(t *testing.T) {
 	approx(t, Q(0), 0.5, 1e-12, "Q(0)")
 	approx(t, Q(1), 0.15866, 1e-4, "Q(1)")
 	approx(t, Q(3), 0.00135, 1e-5, "Q(3)")
 	// Symmetry Q(-x) = 1 - Q(x).
 	approx(t, Q(-1.7)+Q(1.7), 1, 1e-12, "Q symmetry")
-}
-
-func TestQInv(t *testing.T) {
-	for _, p := range []float64{0.4, 0.15866, 1e-3, 1e-6, 1e-9} {
-		x := QInv(p)
-		approx(t, Q(x), p, p*1e-6+1e-15, "Q(QInv(p))")
-	}
-}
-
-func TestQInvPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic for p out of range")
-		}
-	}()
-	QInv(1.5)
 }
 
 func TestBERKnownPoints(t *testing.T) {
@@ -296,22 +155,10 @@ func TestEbN0SNRRoundTrip(t *testing.T) {
 	f := func(snrDB float64) bool {
 		snr := FromDB(math.Mod(snrDB, 40))
 		e := EbN0FromSNR(snr, 10e6, 20e6)
-		back := SNRFromEbN0(e, 10e6, 20e6)
+		back := e * 10e6 / 20e6 // SNR = Eb/N0 · R / B
 		return math.Abs(DB(back/snr)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestShannonCapacity(t *testing.T) {
-	// SNR = 1 -> capacity = B.
-	approx(t, ShannonCapacity(1e6, 1), 1e6, 1e-6, "capacity at 0 dB SNR")
-	// Capacity grows with both B and SNR.
-	if ShannonCapacity(2e6, 1) <= ShannonCapacity(1e6, 1) {
-		t.Fatal("capacity must grow with bandwidth")
-	}
-	if ShannonCapacity(1e6, 10) <= ShannonCapacity(1e6, 1) {
-		t.Fatal("capacity must grow with SNR")
 	}
 }

@@ -1,3 +1,11 @@
+// Package sim ties the mmTag pieces into a running network: an
+// environment of placed tags around an access point, a mac.Medium
+// implementation backed by the full link budget, and inventory/streaming
+// scenario runners, advanced by a forward-only simulated clock, used by
+// the examples and the evaluation harness.
+//
+// DESIGN.md: section 6 (simulation methodology) and section 3 (module
+// inventory); section 7's deployment layer runs one of these per AP cell.
 package sim
 
 import (
@@ -114,6 +122,7 @@ type runnerMetrics struct {
 	totalTags    *obs.Gauge      // sim_total_tags
 	sdmGroups    *obs.Gauge      // sim_sdm_groups
 	discTime     *obs.Gauge      // sim_discovery_seconds
+	simTime      *obs.Gauge      // sim_time_seconds
 	energyPerBit *obs.Gauge      // sim_energy_per_bit_joules
 	// tagEnergy and discoverSNR are streaming summaries, not per-tag
 	// labeled families: a deployment-scale run observes each tag once
@@ -141,6 +150,8 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 			"Space-division multiplexing groups formed."),
 		discTime: reg.Gauge("sim_discovery_seconds",
 			"Simulated time the discovery phase took."),
+		simTime: reg.Gauge("sim_time_seconds",
+			"Current simulated time."),
 		energyPerBit: reg.Gauge("sim_energy_per_bit_joules",
 			"Backscatter energy per delivered bit."),
 		tagEnergy: reg.Quantile("tag_energy_joules",
@@ -149,6 +160,24 @@ func newRunnerMetrics(reg *obs.Registry) *runnerMetrics {
 			"SNR measured at discovery (dB).",
 			obs.LinearBuckets(-10, 5, 14)),
 	}
+}
+
+// clock is a run's simulated time in seconds. It only moves forward,
+// and mirrors itself into the sim_time_seconds gauge (nil-safe).
+type clock struct {
+	now   float64
+	gauge *obs.Gauge
+}
+
+// Now returns the current simulated time.
+func (c *clock) Now() float64 { return c.now }
+
+// RunUntil advances the clock to t; an earlier t leaves it in place.
+func (c *clock) RunUntil(t float64) {
+	if c.now < t {
+		c.now = t
+	}
+	c.gauge.Set(c.now)
 }
 
 // RunInventory executes the full mmTag network scenario: beam-swept
@@ -171,7 +200,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 		stCfg.Obs = cfg.Obs
 	}
 
-	eng := NewEngine()
+	clk := &clock{}
 
 	// Fault plan: wrap the network so the MAC sees the faulted radio,
 	// and arm the degradation machinery (health tracking + rediscovery).
@@ -183,7 +212,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 		if err != nil {
 			return nil, err
 		}
-		inj.SetClock(eng.Now)
+		inj.SetClock(clk.Now)
 		if tr := cfg.Trace; tr != nil {
 			inj.OnEvent(func(e fault.Event) {
 				tr.Emit(trace.Event{
@@ -211,9 +240,9 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 
 	m := newRunnerMetrics(cfg.Obs.Registry())
 	if m != nil {
-		eng.Instrument(cfg.Obs.Registry())
+		clk.gauge = m.simTime
 		n.Instrument(cfg.Obs)
-		cfg.Obs.Spans().SetClock(eng.Now)
+		cfg.Obs.Spans().SetClock(clk.Now)
 	}
 	spRun := cfg.Obs.StartSpan("inventory-run", 0)
 	rep := &InventoryReport{
@@ -236,7 +265,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 	for _, rec := range station.Known() {
 		if cfg.Trace != nil {
 			cfg.Trace.Emit(trace.Event{
-				T:      eng.Now(),
+				T:      clk.Now(),
 				Kind:   trace.KindDiscover,
 				Tag:    rec.ID,
 				Detail: fmt.Sprintf("beam %.1fdeg snr %.1fdB", rec.BeamRad*180/math.Pi, 10*log10(rec.SNR)),
@@ -249,7 +278,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 	probeBits := 56 + 6*8*2 // header + short probe exchange, approximate
 	slotTime := float64(probeBits) / stCfg.ProbeRateOrDefault().BitRate
 	discoveryTime := float64(station.Stats.DiscoverySlots+station.Stats.ProbesSent) * slotTime
-	eng.RunUntil(discoveryTime)
+	clk.RunUntil(discoveryTime)
 	rep.DiscoveryTime = discoveryTime
 	spDiscovery.End()
 	if m != nil {
@@ -296,7 +325,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 	rep.SDMGroups = len(groups)
 	rosterV := station.RosterVersion()
 
-	deadline := eng.Now() + cfg.Duration
+	deadline := clk.Now() + cfg.Duration
 	spPoll := cfg.Obs.StartSpan("poll-phase", 0)
 	var lastRate map[uint8]string // only written under the Trace gate
 	if cfg.Trace != nil {
@@ -305,13 +334,13 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 	// On faulted runs the roster shrinks (eviction) and regrows
 	// (rediscovery), so the loop keeps running through an empty roster
 	// until the deadline; the idle guard below guarantees time progress.
-	for eng.Now() < deadline && (len(groups) > 0 || inj != nil) {
+	for clk.Now() < deadline && (len(groups) > 0 || inj != nil) {
 		rep.PollCycles++
 		if m != nil {
 			m.cycles.Inc()
 		}
 		station.BeginCycle()
-		cycleStart := eng.Now()
+		cycleStart := clk.Now()
 		for _, group := range groups {
 			// Tags in one group transmit concurrently on separate beams;
 			// the slot lasts as long as the slowest member.
@@ -326,7 +355,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 				}
 				if cfg.Trace != nil {
 					cfg.Trace.Emit(trace.Event{
-						T:      eng.Now(),
+						T:      clk.Now(),
 						Kind:   trace.KindPoll,
 						Tag:    id,
 						Detail: res.Rate.String(),
@@ -337,7 +366,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 					rate := res.Rate.String()
 					if prev, ok := lastRate[id]; ok && prev != rate {
 						cfg.Trace.Emit(trace.Event{
-							T:      eng.Now(),
+							T:      clk.Now(),
 							Kind:   trace.KindRateChange,
 							Tag:    id,
 							Detail: prev + " -> " + rate,
@@ -365,8 +394,8 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 					slotDur = res.AirTime
 				}
 			}
-			eng.RunUntil(eng.Now() + slotDur)
-			if eng.Now() >= deadline {
+			clk.RunUntil(clk.Now() + slotDur)
+			if clk.Now() >= deadline {
 				break
 			}
 		}
@@ -375,7 +404,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 			for _, ht := range station.TakeHealthEvents() {
 				if cfg.Trace != nil {
 					cfg.Trace.Emit(trace.Event{
-						T:      eng.Now(),
+						T:      clk.Now(),
 						Kind:   trace.KindHealth,
 						Tag:    ht.Tag,
 						Detail: ht.From.String() + " -> " + ht.To.String(),
@@ -387,11 +416,11 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 			// costs a full beam scan, so it only runs while tags are
 			// actually missing.
 			if cfg.RediscoverEvery > 0 && rep.PollCycles%cfg.RediscoverEvery == 0 &&
-				station.LostCount() > 0 && eng.Now() < deadline {
+				station.LostCount() > 0 && clk.Now() < deadline {
 				preSlots := station.Stats.DiscoverySlots + station.Stats.ProbesSent
 				station.Discover()
 				extra := float64(station.Stats.DiscoverySlots+station.Stats.ProbesSent-preSlots) * slotTime
-				eng.RunUntil(eng.Now() + extra)
+				clk.RunUntil(clk.Now() + extra)
 			}
 			if v := station.RosterVersion(); v != rosterV {
 				rosterV = v
@@ -404,13 +433,13 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 		// Idle cycle (roster empty, everyone backing off, or every poll
 		// failed): advance one probe slot so the loop always makes time
 		// progress.
-		if eng.Now() == cycleStart {
-			eng.RunUntil(cycleStart + slotTime)
+		if clk.Now() == cycleStart {
+			clk.RunUntil(cycleStart + slotTime)
 		}
 	}
 	spPoll.End()
 
-	elapsed := eng.Now() - discoveryTime
+	elapsed := clk.Now() - discoveryTime
 	if elapsed > 0 {
 		rep.GoodputBps = float64(rep.totalBits) / elapsed
 	}
@@ -442,7 +471,7 @@ func RunInventory(n *Network, cfg InventoryConfig) (*InventoryReport, error) {
 	if inj != nil {
 		st := station.Stats
 		rr := &RecoveryReport{
-			TagsDead:        len(inj.DeadBy(eng.Now())),
+			TagsDead:        len(inj.DeadBy(clk.Now())),
 			Evictions:       st.Evictions,
 			Rediscoveries:   st.Rediscoveries,
 			DegradedPicks:   st.DegradedPicks,

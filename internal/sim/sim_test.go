@@ -6,59 +6,21 @@ import (
 
 	"mmtag/internal/ap"
 	"mmtag/internal/mac"
+	"mmtag/internal/obs"
 	"mmtag/internal/rfmath"
 	"mmtag/internal/tag"
 	"mmtag/internal/vanatta"
 )
 
-func TestEngineOrdering(t *testing.T) {
-	e := NewEngine()
-	var order []int
-	e.Schedule(3, func() { order = append(order, 3) })
-	e.Schedule(1, func() { order = append(order, 1) })
-	e.Schedule(2, func() { order = append(order, 2) })
-	// Ties fire in scheduling order.
-	e.Schedule(1, func() { order = append(order, 10) })
-	for e.Step() {
+// A run's clock only moves forward: RunUntil to an earlier time leaves
+// it, and the sim_time_seconds gauge, where they were.
+func TestClockNeverMovesBack(t *testing.T) {
+	c := clock{gauge: obs.NewRegistry().Gauge("sim_time_seconds", "")}
+	c.RunUntil(2)
+	c.RunUntil(1)
+	if c.Now() != 2 || c.gauge.Value() != 2 {
+		t.Fatalf("clock %g, gauge %g after RunUntil(2), RunUntil(1); want 2", c.Now(), c.gauge.Value())
 	}
-	want := []int{1, 10, 2, 3}
-	for i := range want {
-		if order[i] != want[i] {
-			t.Fatalf("order %v, want %v", order, want)
-		}
-	}
-	if e.Now() != 3 {
-		t.Fatalf("clock %g, want 3", e.Now())
-	}
-}
-
-func TestEngineNestedScheduling(t *testing.T) {
-	e := NewEngine()
-	fired := 0
-	e.Schedule(1, func() {
-		fired++
-		e.Schedule(1, func() { fired++ })
-	})
-	e.RunUntil(1.5)
-	if fired != 1 {
-		t.Fatalf("fired %d by t=1.5, want 1", fired)
-	}
-	e.RunUntil(3)
-	if fired != 2 || e.Now() != 3 {
-		t.Fatalf("fired %d at t=%g", fired, e.Now())
-	}
-	if e.Pending() != 0 {
-		t.Fatal("queue must be empty")
-	}
-}
-
-func TestEngineNegativeDelayPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	NewEngine().Schedule(-1, func() {})
 }
 
 func newTag(t *testing.T, id uint8, elements int) *tag.Tag {

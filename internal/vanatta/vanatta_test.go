@@ -8,6 +8,15 @@ import (
 	"mmtag/internal/antenna"
 )
 
+// iso is an ideal 0 dBi element.
+type iso struct{}
+
+func (iso) Gain(float64) float64 { return 1 }
+func (iso) PeakGain() float64    { return 1 }
+
+// toDeg converts radians to degrees.
+func toDeg(r float64) float64 { return r * 180 / math.Pi }
+
 func mustArray(t *testing.T, n int) *Array {
 	t.Helper()
 	a, err := New(Config{Elements: n})
@@ -38,7 +47,7 @@ func TestRetroReflectionIsAngleFlat(t *testing.T) {
 	// The defining Van Atta property: monostatic array factor stays fully
 	// coherent at every angle, so gain varies only with the element
 	// pattern — nearly flat over ±50°, unlike any static reflector.
-	a, err := New(Config{Elements: 8, Element: antenna.Isotropic{}})
+	a, err := New(Config{Elements: 8, Element: iso{}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -112,15 +121,15 @@ func TestFieldOfViewPatchElements(t *testing.T) {
 	// With cos^2 patch elements the per-pass 3 dB field of view is at
 	// cos^2 θ = 0.5 → θ = 45°.
 	a := mustArray(t, 8)
-	fov := antenna.ToDeg(a.FieldOfView())
+	fov := toDeg(a.FieldOfView())
 	if fov < 43 || fov > 47 {
 		t.Fatalf("field of view %g°, want ~45°", fov)
 	}
 }
 
 func TestFlatPlateCollapsesOffBroadside(t *testing.T) {
-	a, _ := New(Config{Elements: 8, Element: antenna.Isotropic{}})
-	p, err := NewFlatPlate(antenna.Isotropic{}, 8, 0.5)
+	a, _ := New(Config{Elements: 8, Element: iso{}})
+	p, err := NewFlatPlate(iso{}, 8, 0.5)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +163,7 @@ func TestFlatPlateValidation(t *testing.T) {
 }
 
 func TestSingleAntennaBaseline(t *testing.T) {
-	s := NewSingleAntenna(antenna.Isotropic{})
+	s := NewSingleAntenna(iso{})
 	if s.MonostaticGain(0.7) != 1 {
 		t.Fatal("isotropic single antenna gain must be 1")
 	}
