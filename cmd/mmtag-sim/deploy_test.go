@@ -52,6 +52,36 @@ func TestDeploymentGolden(t *testing.T) {
 	}
 }
 
+// TestDeploymentTraceGolden pins the association history of the same
+// run: every association and handoff event, with its SNR to 0.1 dB, is
+// byte-identical at -parallel 1 and -parallel 8 and matches the
+// checked-in JSONL. Regenerate with:
+//
+//	go run ./cmd/mmtag-sim -aps 4 -tags 64 -seed 42 -trace cmd/mmtag-sim/testdata/aps4_tags64_seed42_trace.golden
+func TestDeploymentTraceGolden(t *testing.T) {
+	golden, err := os.ReadFile(filepath.Join("testdata", "aps4_tags64_seed42_trace.golden"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range []int{1, 8} {
+		o := deployOptions()
+		o.parallel = workers
+		o.trace = filepath.Join(t.TempDir(), "trace.jsonl")
+		o.out = &bytes.Buffer{}
+		if err := run(o); err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(o.trace)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(got, golden) {
+			t.Errorf("deployment trace at %d workers drifted from golden:\n--- golden ---\n%s--- got ---\n%s",
+				workers, golden, got)
+		}
+	}
+}
+
 // TestDeploymentReportShape spot-checks the sections the golden relies
 // on, so a drift failure comes with a readable cause.
 func TestDeploymentReportShape(t *testing.T) {

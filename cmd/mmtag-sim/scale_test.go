@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -23,32 +24,39 @@ func scaleOptions() options {
 
 // TestScaleGolden pins the scale path's acceptance criterion: the
 // report is byte-identical at -parallel 1 and -parallel 8 and matches
-// the checked-in golden. Regenerate with:
+// the checked-in golden, on a complete 3x3 grid and on a ragged one (7
+// APs leave two empty slots in the last row, where association falls
+// back to the exhaustive scan). Regenerate with:
 //
 //	go run ./cmd/mmtag-sim -scale 20000 -aps 9 -seed 42 > cmd/mmtag-sim/testdata/scale20000_aps9_seed42.golden
+//	go run ./cmd/mmtag-sim -scale 20000 -aps 7 -seed 42 > cmd/mmtag-sim/testdata/scale20000_aps7_seed42.golden
 func TestScaleGolden(t *testing.T) {
-	render := func(workers int) string {
-		o := scaleOptions()
-		o.parallel = workers
-		buf := &bytes.Buffer{}
-		o.out = buf
-		if err := run(o); err != nil {
+	for _, aps := range []int{9, 7} {
+		render := func(workers int) string {
+			o := scaleOptions()
+			o.aps = aps
+			o.parallel = workers
+			buf := &bytes.Buffer{}
+			o.out = buf
+			if err := run(o); err != nil {
+				t.Fatal(err)
+			}
+			return buf.String()
+		}
+		serial := render(1)
+		if got := render(8); got != serial {
+			t.Errorf("%d APs: scale output at 8 workers differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+				aps, serial, got)
+		}
+		name := fmt.Sprintf("scale20000_aps%d_seed42.golden", aps)
+		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		if err != nil {
 			t.Fatal(err)
 		}
-		return buf.String()
-	}
-	serial := render(1)
-	if got := render(8); got != serial {
-		t.Errorf("scale output at 8 workers differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-			serial, got)
-	}
-	golden, err := os.ReadFile(filepath.Join("testdata", "scale20000_aps9_seed42.golden"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if serial != string(golden) {
-		t.Errorf("scale output drifted from golden:\n--- golden ---\n%s--- got ---\n%s",
-			golden, serial)
+		if serial != string(golden) {
+			t.Errorf("scale output drifted from %s:\n--- golden ---\n%s--- got ---\n%s",
+				name, golden, serial)
+		}
 	}
 }
 

@@ -174,9 +174,7 @@ func (p Plan) Validate() error {
 		}
 	}
 	if b := p.Brownout; b != nil {
-		h := b.Harvester
-		if err := finite("brownout", b.IncidentPowerW, b.PeriodS, b.LoadW,
-			h.SplitFraction, h.PeakEfficiency, h.KneeW, h.SensitivityW); err != nil {
+		if err := finite("brownout", b.IncidentPowerW, b.PeriodS, b.LoadW); err != nil {
 			return err
 		}
 		// A subnormal power (below about -3046 dBm) keeps too few bits

@@ -4,105 +4,23 @@ import (
 	"fmt"
 	"math"
 
-	"mmtag/internal/channel"
 	"mmtag/internal/geom"
 	"mmtag/internal/par"
+	"mmtag/internal/rfmath"
 	"mmtag/internal/trace"
 )
-
-// assocBandwidthHz is the noise bandwidth of the association SNR
-// estimate. It matches the discovery probe bandwidth order (10 MHz), so
-// the hysteresis threshold is expressed in the same units the MAC's
-// rate selection reasons about.
-const assocBandwidthHz = 10e6
-
-// tagInsertionLossDB is the reflector trace/switch loss shared by the
-// association estimate and the per-cell tag devices (the testbed value).
-const tagInsertionLossDB = 1.5
-
-// minAssocDistM floors the estimate's range so a tag standing on top of
-// an AP doesn't produce an infinite SNR.
-const minAssocDistM = 0.25
-
-// snrEstDB is the deployment's association metric: the analytic
-// monostatic link budget from AP a to position p, with the AP at
-// boresight gain (the sweep will find the tag's beam) and the tag
-// squarely facing the AP. It deliberately ignores interference — real
-// association measurements average over it — which keeps the estimate a
-// pure function of geometry and makes ties exactly reproducible.
-func (d *Deployment) snrEstDB(a int, p geom.Point) float64 {
-	dist := geom.Dist(d.apPos[a], p)
-	if dist < minAssocDistM {
-		dist = minAssocDistM
-	}
-	snr, err := d.assocLink(dist).SNRdB(assocBandwidthHz)
-	if err != nil {
-		// The budget is valid by construction; an error is a bug.
-		panic(fmt.Sprintf("net: association budget failed: %v", err))
-	}
-	return snr
-}
-
-// assocLink is the analytic monostatic budget behind the association
-// estimate and the leakage model, at distance dist.
-func (d *Deployment) assocLink(dist float64) *channel.Link {
-	return &channel.Link{
-		FreqHz:        d.freqHz,
-		TxPowerW:      d.txPowerW,
-		APGain:        d.apGainLin,
-		Reflector:     d.estRefl,
-		DistanceM:     dist,
-		ModEfficiency: d.estEff,
-		NoiseFigureDB: d.noiseFigDB,
-	}
-}
-
-// covers reports whether AP a's discovery sector (±72° off its north
-// boresight) contains p — association is sector-aware because an AP can
-// only discover and poll tags its beam sweep reaches.
-func (d *Deployment) covers(a int, p geom.Point) bool {
-	_, az := geom.Polar(d.apPos[a], p, math.Pi/2)
-	return math.Abs(az) <= discoverySectorDeg*math.Pi/180
-}
-
-// bestAP returns the covering AP with the highest estimated SNR toward
-// p. APs are scanned in index order with a strict > comparison, so
-// exact ties (a tag equidistant between two APs) deterministically pick
-// the lowest index. A position no sector covers (a deep corner) falls
-// back to the best AP regardless, keeping the tag on some roster.
-func (d *Deployment) bestAP(p geom.Point) int {
-	best, bestSNR := -1, math.Inf(-1)
-	for a := range d.apPos {
-		if !d.covers(a, p) {
-			continue
-		}
-		if snr := d.snrEstDB(a, p); snr > bestSNR {
-			best, bestSNR = a, snr
-		}
-	}
-	if best >= 0 {
-		return best
-	}
-	for a := range d.apPos {
-		if snr := d.snrEstDB(a, p); snr > bestSNR {
-			best, bestSNR = a, snr
-		}
-	}
-	return best
-}
 
 // step advances every mobile tag by one epoch period, reflecting off
 // the deployment boundary (with a small south margin so no tag walks
 // into an AP).
 func (d *Deployment) step() {
 	w, h := d.Width(), d.Height()
-	dt := d.cfg.EpochPeriodS
 	for _, t := range d.tags {
 		if !t.mobile {
 			continue
 		}
-		t.pos.X += t.vel.X * dt
-		t.pos.Y += t.vel.Y * dt
+		t.pos.X += t.vel.X * epochPeriodS
+		t.pos.Y += t.vel.Y * epochPeriodS
 		t.pos.X, t.vel.X = reflect1D(t.pos.X, t.vel.X, 0, w)
 		t.pos.Y, t.vel.Y = reflect1D(t.pos.Y, t.vel.Y, 0.5, h)
 	}
@@ -127,7 +45,7 @@ type Handoff struct {
 	// Epoch is the association epoch at which the handoff occurred.
 	Epoch int
 	// T is the deployment wall-clock time of the handoff (epoch *
-	// EpochPeriodS).
+	// the 1 s epoch period).
 	T float64
 	// Tag is the tag that moved.
 	Tag uint8
@@ -151,34 +69,28 @@ func handoffStream(epoch int, id uint8) uint64 {
 }
 
 // reassociate re-evaluates every tag's serving AP at an epoch boundary
-// and returns the resulting handoffs in tag order. A tag hands off when
-// a neighbour clears the serving AP's estimate by the hysteresis
-// margin, or immediately (zero margin) when the serving AP's health
-// machine degraded it last epoch. prevPolls is the per-cell poll-cycle
-// count of the previous epoch, used for the duplicate-poll estimate.
+// and returns the resulting handoffs in tag order. The grid's best
+// covering AP takes the tag when it clears the serving AP's estimate by
+// the hysteresis margin, or by any amount when the tag walked out of
+// the serving sector or the serving AP's health machine degraded it
+// last epoch. A tag no sector covers stays put. prevPolls is the
+// per-cell poll-cycle count of the previous epoch, used for the
+// duplicate-poll estimate.
 func (d *Deployment) reassociate(epoch int, prevPolls []int) []Handoff {
 	var out []Handoff
-	now := float64(epoch) * d.cfg.EpochPeriodS
+	now := float64(epoch) * epochPeriodS
 	for _, t := range d.tags {
-		covered := d.covers(t.serving, t.pos)
+		best, snr := d.assign(t.pos.X, t.pos.Y)
+		if best == t.serving || !d.coversAt(best, t.pos.X, t.pos.Y) {
+			continue
+		}
+		bestSNR := rfmath.DB(snr)
 		servingSNR := math.Inf(-1)
-		if covered {
-			servingSNR = d.snrEstDB(t.serving, t.pos)
-		}
-		best, bestSNR := t.serving, servingSNR
-		for a := range d.apPos {
-			if a == t.serving || !d.covers(a, t.pos) {
-				continue
-			}
-			if snr := d.snrEstDB(a, t.pos); snr > bestSNR {
-				best, bestSNR = a, snr
-			}
-		}
-		margin := d.cfg.HysteresisDB
+		margin := hysteresisDB
 		reason := "snr"
-		if !covered {
-			// The tag walked out of the serving sector: any covering AP
-			// takes it without a margin.
+		if d.coversAt(t.serving, t.pos.X, t.pos.Y) {
+			servingSNR = d.snrDB(t.serving, t.pos)
+		} else {
 			margin = 0
 			reason = "coverage"
 		}
@@ -186,14 +98,14 @@ func (d *Deployment) reassociate(epoch int, prevPolls []int) []Handoff {
 			margin = 0
 			reason = "health"
 		}
-		if best == t.serving || bestSNR <= servingSNR+margin {
+		if bestSNR <= servingSNR+margin {
 			continue
 		}
 		u := par.Rand(d.cfg.Seed, handoffStream(epoch, t.id)).Float64()
-		latency := d.cfg.HandoffBaseS + u*d.cfg.HandoffJitterS
+		latency := handoffBaseS + u*handoffJitterS
 		dup := 0
 		if t.serving < len(prevPolls) {
-			dup = int(math.Ceil(float64(prevPolls[t.serving]) * latency / d.cfg.EpochPeriodS))
+			dup = int(math.Ceil(float64(prevPolls[t.serving]) * latency / epochPeriodS))
 		}
 		h := Handoff{
 			Epoch:    epoch,
@@ -212,6 +124,9 @@ func (d *Deployment) reassociate(epoch int, prevPolls []int) []Handoff {
 	}
 	return out
 }
+
+// snrDB is the association SNR estimate from AP a to p, in dB.
+func (d *Deployment) snrDB(a int, p geom.Point) float64 { return rfmath.DB(d.snrAt(a, p.X, p.Y)) }
 
 // emitHandoff records one handoff into the trace and metrics sinks.
 // Called only from the serial epoch loop, so event order is seed-stable.

@@ -57,7 +57,7 @@ func (d *Deployment) Runner(handoffCap int) *Runner {
 		rep.Cells[c].AP = c
 	}
 	for _, t := range d.tags {
-		d.emitAssoc(0, t.id, t.serving, d.snrEstDB(t.serving, t.pos))
+		d.emitAssoc(0, t.id, t.serving, d.snrDB(t.serving, t.pos))
 	}
 	return &Runner{
 		d:          d,
@@ -93,10 +93,7 @@ func (r *Runner) Step() error {
 			rep.Handoffs = rep.Handoffs[len(rep.Handoffs)-r.handoffCap:]
 		}
 	}
-	rosters := make([][]*tagState, cfg.APs)
-	for _, t := range d.tags {
-		rosters[t.serving] = append(rosters[t.serving], t)
-	}
+	rosters := d.rosters()
 	cellReps, cellWall, err := d.runEpochCells(e, r.epochDur, rosters)
 	if err != nil {
 		return fmt.Errorf("net: epoch %d: %w", e, err)

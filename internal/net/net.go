@@ -23,21 +23,19 @@ import (
 	"mmtag/internal/obs"
 	"mmtag/internal/par"
 	"mmtag/internal/trace"
-	"mmtag/internal/vanatta"
 )
 
 // Config parameterizes a Deployment. The zero value of every optional
 // field selects a documented default; APs and Tags are required.
 type Config struct {
-	// APs is the number of access points to place (>= 1).
+	// APs is the number of access points to place (>= 1) on a grid of
+	// 8 m cells, each AP wall-mounted at the midpoint of its cell's
+	// south edge, facing north into the cell — the warehouse-aisle
+	// geometry.
 	APs int
 	// Cols fixes the grid width in cells; 0 picks a near-square layout
 	// (ceil(sqrt(APs)) columns).
 	Cols int
-	// CellM is the cell pitch in metres (8 by default). Each AP is
-	// wall-mounted at the midpoint of its cell's south edge, facing
-	// north into the cell — the warehouse-aisle geometry.
-	CellM float64
 	// Tags is the population size (1..255; IDs are global and unique
 	// across the whole deployment).
 	Tags int
@@ -54,15 +52,10 @@ type Config struct {
 	// SpeedMps is the mobile-tag speed (1.2 m/s by default).
 	SpeedMps float64
 	// Epochs is the number of association epochs the run is divided
-	// into (4 by default). Tags move and re-associate at epoch
-	// boundaries; within an epoch cell membership is fixed, which is
-	// what lets the cells run concurrently.
+	// into (4 by default), one second apart. Tags move and
+	// re-associate at epoch boundaries; within an epoch cell membership
+	// is fixed, which is what lets the cells run concurrently.
 	Epochs int
-	// EpochPeriodS is the wall-clock period between association epochs
-	// (1 s by default). Mobility advances on this clock; only a
-	// Duration/Epochs slice of each period is simulated at poll-level
-	// detail (the standard snapshot method for network-scale runs).
-	EpochPeriodS float64
 	// Duration is the total simulated polling time across all epochs
 	// (0.2 s by default; each epoch simulates Duration/Epochs).
 	Duration float64
@@ -72,23 +65,10 @@ type Config struct {
 	SDMChains int
 	// Modulation names the tag alphabet ("qpsk" by default).
 	Modulation string
-	// TagElements sizes each tag's Van Atta array (8 by default).
-	TagElements int
-	// HysteresisDB is the SNR margin a neighbour AP must clear over the
-	// serving AP before a mobile tag hands off (3 dB by default). A tag
-	// exactly equidistant between two APs therefore never flaps: ties
-	// keep the serving AP, and initial association breaks them toward
-	// the lowest AP index.
-	HysteresisDB float64
-	// HandoffBaseS and HandoffJitterS model inter-AP handoff latency:
-	// each handoff costs Base plus a uniform draw in [0, Jitter) from
-	// the tag's derived stream (2 ms + 2 ms by default).
-	HandoffBaseS   float64
-	HandoffJitterS float64
 	// InterfRangeM bounds how far an edge tag's backscatter couples
-	// into a neighbouring AP's receiver (0.75*CellM by default): tags
-	// of co-channel cells within this range of a victim AP are added to
-	// its interference floor.
+	// into a neighbouring AP's receiver (6 m, 0.75 cells, by default):
+	// tags of co-channel cells within this range of a victim AP are
+	// added to its interference floor.
 	InterfRangeM float64
 	// ReuseCells is the channel-reuse spacing in cells (1 by default =
 	// every cell co-channel): two cells share a channel only when their
@@ -120,22 +100,33 @@ type Config struct {
 	Obs *obs.Handle
 }
 
+// Association-epoch and handoff constants of the poll-level engine.
+const (
+	// epochPeriodS is the wall-clock period between association epochs.
+	// Mobility advances on this clock; only a Duration/Epochs slice of
+	// each period is simulated at poll-level detail (the standard
+	// snapshot method for network-scale runs).
+	epochPeriodS = 1
+	// hysteresisDB is the SNR margin a neighbour AP must clear over the
+	// serving AP before a mobile tag hands off. A tag exactly
+	// equidistant between two APs therefore never flaps: ties keep the
+	// serving AP, and initial association breaks them toward the
+	// lowest AP index.
+	hysteresisDB = 3.0
+	// handoffBaseS and handoffJitterS model inter-AP handoff latency:
+	// each handoff costs the base plus a uniform draw in [0, jitter)
+	// from the tag's derived stream.
+	handoffBaseS   = 2e-3
+	handoffJitterS = 2e-3
+)
+
 // withDefaults resolves the documented defaults.
 func (c Config) withDefaults() Config {
-	if c.CellM == 0 {
-		c.CellM = 8
-	}
-	if c.Cols <= 0 {
-		c.Cols = int(math.Ceil(math.Sqrt(float64(c.APs))))
-	}
 	if c.SpeedMps == 0 {
 		c.SpeedMps = 1.2
 	}
 	if c.Epochs == 0 {
 		c.Epochs = 4
-	}
-	if c.EpochPeriodS == 0 {
-		c.EpochPeriodS = 1
 	}
 	if c.Duration == 0 {
 		c.Duration = 0.2
@@ -143,20 +134,8 @@ func (c Config) withDefaults() Config {
 	if c.Modulation == "" {
 		c.Modulation = "qpsk"
 	}
-	if c.TagElements == 0 {
-		c.TagElements = 8
-	}
-	if c.HysteresisDB == 0 {
-		c.HysteresisDB = 3
-	}
-	if c.HandoffBaseS == 0 {
-		c.HandoffBaseS = 2e-3
-	}
-	if c.HandoffJitterS == 0 {
-		c.HandoffJitterS = 2e-3
-	}
 	if c.InterfRangeM == 0 {
-		c.InterfRangeM = 0.75 * c.CellM
+		c.InterfRangeM = 0.75 * defaultCellM
 	}
 	if c.ReuseCells <= 0 {
 		c.ReuseCells = 1
@@ -192,39 +171,20 @@ type tagState struct {
 // rectangular area, a placed tag population, and the association state
 // that shards the population into per-AP cells.
 type Deployment struct {
-	cfg        Config
-	rows, cols int
-	apPos      []geom.Point
-	tags       []*tagState
-	apGainLin  float64 // boresight AP array gain, linear
-	freqHz     float64
-	txPowerW   float64
-	noiseFigDB float64
-	// estRefl/estEff are the shared reflector model and modulation
-	// efficiency behind the association SNR estimate (read-only after
-	// New; vanatta gain evaluation is pure, so cells may share them).
-	estRefl *vanatta.Array
-	estEff  float64
-	m       *netMetrics
+	apGrid
+	cfg  Config
+	tags []*tagState
+	m    *netMetrics
 }
 
-func (d *Deployment) Width() float64  { return float64(d.cols) * d.cfg.CellM }
-func (d *Deployment) Height() float64 { return float64(d.rows) * d.cfg.CellM }
-
 // APPos returns AP a's position.
-func (d *Deployment) APPos(a int) geom.Point { return d.apPos[a] }
+func (d *Deployment) APPos(a int) geom.Point { return d.apPos(a) }
 
 // New builds a deployment: APs on the grid, tags placed uniformly over
 // the area from the placement stream, and every tag associated with its
 // best-SNR AP (ties break toward the lowest AP index).
 func New(cfg Config) (*Deployment, error) {
 	cfg = cfg.withDefaults()
-	if cfg.APs < 1 {
-		return nil, fmt.Errorf("net: deployment needs at least one AP, got %d", cfg.APs)
-	}
-	if cfg.APs > maxCells {
-		return nil, fmt.Errorf("net: too many APs (%d)", cfg.APs)
-	}
 	if cfg.Tags < 1 || cfg.Tags > 255 {
 		return nil, fmt.Errorf("net: tags must be in [1,255], got %d", cfg.Tags)
 	}
@@ -235,41 +195,11 @@ func New(cfg Config) (*Deployment, error) {
 	if cfg.MobileFrac < 0 || cfg.MobileFrac > 1 {
 		return nil, fmt.Errorf("net: mobile fraction must be in [0,1], got %g", cfg.MobileFrac)
 	}
-	ref, err := newCellAP()
+	g, err := newGrid(cfg.APs, cfg.Cols, defaultCellM, cfg.Modulation)
 	if err != nil {
 		return nil, err
 	}
-	refl, err := vanatta.New(vanatta.Config{
-		Elements:        cfg.TagElements,
-		InsertionLossDB: tagInsertionLossDB,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mod, err := vanatta.ByName(cfg.Modulation)
-	if err != nil {
-		return nil, fmt.Errorf("net: %w", err)
-	}
-	d := &Deployment{
-		cfg:        cfg,
-		cols:       cfg.Cols,
-		rows:       (cfg.APs + cfg.Cols - 1) / cfg.Cols,
-		apGainLin:  ref.GainToward(0),
-		freqHz:     ref.Config().FreqHz,
-		txPowerW:   ref.Config().TxPowerW,
-		noiseFigDB: ref.Config().NoiseFigureDB,
-		estRefl:    refl,
-		estEff:     mod.MeanReflectedPower(),
-		m:          newNetMetrics(cfg.Obs.Registry()),
-	}
-	// APs sit at the midpoint of each cell's south edge, facing north.
-	for a := 0; a < cfg.APs; a++ {
-		r, c := a/d.cols, a%d.cols
-		d.apPos = append(d.apPos, geom.Point{
-			X: (float64(c) + 0.5) * cfg.CellM,
-			Y: float64(r) * cfg.CellM,
-		})
-	}
+	d := &Deployment{apGrid: g, cfg: cfg, m: newNetMetrics(cfg.Obs.Registry())}
 	// Tag placement and mobility from the placement stream. Positions
 	// keep a small margin off the south wall so no tag coincides with
 	// an AP.
@@ -291,7 +221,7 @@ func New(cfg Config) (*Deployment, error) {
 				Y: cfg.SpeedMps * math.Sin(heading),
 			}
 		}
-		t.serving = d.bestAP(t.pos)
+		t.serving, _ = d.assign(t.pos.X, t.pos.Y)
 		d.tags = append(d.tags, t)
 	}
 	if d.m != nil {

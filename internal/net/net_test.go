@@ -74,9 +74,9 @@ func TestHandoffsOccurAndAreBounded(t *testing.T) {
 	}
 	cfg := mobileCfg(42).withDefaults()
 	for _, h := range rep.Handoffs {
-		if h.LatencyS < cfg.HandoffBaseS || h.LatencyS >= cfg.HandoffBaseS+cfg.HandoffJitterS {
+		if h.LatencyS < handoffBaseS || h.LatencyS >= handoffBaseS+handoffJitterS {
 			t.Errorf("handoff latency %.4fms outside [%.4f, %.4f)ms",
-				h.LatencyS*1e3, cfg.HandoffBaseS*1e3, (cfg.HandoffBaseS+cfg.HandoffJitterS)*1e3)
+				h.LatencyS*1e3, handoffBaseS*1e3, (handoffBaseS+handoffJitterS)*1e3)
 		}
 		if h.From == h.To {
 			t.Errorf("handoff tag %d to its own AP %d", h.Tag, h.From)
@@ -98,7 +98,7 @@ func TestEquidistantTieBreaksLowestIndex(t *testing.T) {
 	}
 	// APs sit at (4, 0) and (12, 0); x = 8 is exactly equidistant.
 	mid := geom.Point{X: 8, Y: 3}
-	if got := d.bestAP(mid); got != 0 {
+	if got, _ := d.assign(mid.X, mid.Y); got != 0 {
 		t.Errorf("equidistant tag associated with AP %d, want 0", got)
 	}
 	// Force the single tag onto the midline, serving either AP; a

@@ -16,12 +16,6 @@ import (
 	"mmtag/internal/vanatta"
 )
 
-// discoverySectorDeg is the per-cell beam-sweep half-angle. APs are
-// wall-mounted facing into their cell, so a wide sweep (±72°) covers
-// everything except the extreme corners — the realistic coverage of a
-// wall-mounted phased array.
-const discoverySectorDeg = 72
-
 // probeTagID is the reserved tag ID ProbeSINR uses; deployments are
 // limited to 255 tags so it never collides with a placed tag.
 const probeTagID = 255
@@ -158,53 +152,16 @@ func (d *Deployment) emitEpochCost(epoch int, epochDur float64, cellWall []time.
 	}
 }
 
-// runCell simulates one AP cell for one epoch: a fresh Network holding
-// the cell's roster in the AP's polar frame, the co-channel edge
-// interferers, and a sim.RunInventory over the epoch's time slice with
-// a par.Derive-sharded seed. It reads only immutable epoch state
+// runCell simulates one AP cell for one epoch: the cell network with
+// the cell's roster, the co-channel edge interferers, and a
+// sim.RunInventory over the epoch's time slice with a
+// par.Derive-sharded seed. It reads only immutable epoch state
 // (rosters, tag positions), so cells are safe to run concurrently.
 func (d *Deployment) runCell(epoch, c int, dur float64, rosters [][]*tagState) (*sim.InventoryReport, error) {
 	cfg := d.cfg
-	a, err := newCellAP()
+	n, err := d.cellNetwork(c, rosters[c])
 	if err != nil {
 		return nil, err
-	}
-	n, err := sim.NewNetwork(a, nil)
-	if err != nil {
-		return nil, err
-	}
-	mod, err := vanatta.ByName(cfg.Modulation)
-	if err != nil {
-		return nil, err
-	}
-	for _, t := range rosters[c] {
-		arr, err := vanatta.New(vanatta.Config{
-			Elements:        cfg.TagElements,
-			InsertionLossDB: tagInsertionLossDB,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dev, err := tag.New(tag.Config{
-			ID:             t.id,
-			Array:          arr,
-			Modulation:     mod,
-			SwitchRiseTime: 2e-9,
-		})
-		if err != nil {
-			return nil, err
-		}
-		dist, az := geom.Polar(d.apPos[c], t.pos, math.Pi/2)
-		if dist < minAssocDistM {
-			dist = minAssocDistM
-		}
-		if err := n.AddTag(sim.Placement{
-			Device:     dev,
-			DistanceM:  dist,
-			AzimuthRad: az,
-		}); err != nil {
-			return nil, err
-		}
 	}
 	if err := d.addEdgeInterferers(n, c, rosters); err != nil {
 		return nil, err
@@ -220,13 +177,69 @@ func (d *Deployment) runCell(epoch, c int, dur float64, rosters [][]*tagState) (
 	})
 }
 
+// cellNetwork builds a fresh network around cell c's AP holding one tag
+// device per entry of tags, placed in the AP's polar frame.
+func (d *Deployment) cellNetwork(c int, tags []*tagState) (*sim.Network, error) {
+	a, err := newCellAP()
+	if err != nil {
+		return nil, err
+	}
+	n, err := sim.NewNetwork(a, nil)
+	if err != nil {
+		return nil, err
+	}
+	mod, err := vanatta.ByName(d.cfg.Modulation)
+	if err != nil {
+		return nil, err
+	}
+	for _, t := range tags {
+		arr, err := vanatta.New(vanatta.Config{
+			Elements:        tagElements,
+			InsertionLossDB: tagInsertionLossDB,
+		})
+		if err != nil {
+			return nil, err
+		}
+		dev, err := tag.New(tag.Config{
+			ID:             t.id,
+			Array:          arr,
+			Modulation:     mod,
+			SwitchRiseTime: 2e-9,
+		})
+		if err != nil {
+			return nil, err
+		}
+		dist, az := geom.Polar(d.apPos(c), t.pos, math.Pi/2)
+		if dist < minAssocDistM {
+			dist = minAssocDistM
+		}
+		if err := n.AddTag(sim.Placement{
+			Device:     dev,
+			DistanceM:  dist,
+			AzimuthRad: az,
+		}); err != nil {
+			return nil, err
+		}
+	}
+	return n, nil
+}
+
+// rosters shards the tags by serving AP, each roster in tag order.
+func (d *Deployment) rosters() [][]*tagState {
+	rosters := make([][]*tagState, d.cfg.APs)
+	for _, t := range d.tags {
+		rosters[t.serving] = append(rosters[t.serving], t)
+	}
+	return rosters
+}
+
 // addEdgeInterferers adds, to victim cell c's network, one co-channel
 // interferer per foreign tag within InterfRangeM of c's AP: the tag's
 // backscatter of its own serving AP's carrier, re-radiated toward the
 // victim through its Van Atta bistatic pattern.
 func (d *Deployment) addEdgeInterferers(n *sim.Network, c int, rosters [][]*tagState) error {
 	cfg := d.cfg
-	victim := d.apPos[c]
+	victim := d.apPos(c)
 	for cc := range rosters {
 		if cc == c || !d.coChannel(c, cc) {
 			continue
@@ -257,19 +270,18 @@ func (d *Deployment) addEdgeInterferers(n *sim.Network, c int, rosters [][]*tagS
 // Van Atta array's bistatic gain between the retro direction and the
 // victim's direction.
 func (d *Deployment) tagLeakageEIRPW(t *tagState, cc int) float64 {
-	servDist := geom.Dist(d.apPos[cc], t.pos)
+	servDist := geom.Dist(d.apPos(cc), t.pos)
 	if servDist < minAssocDistM {
 		servDist = minAssocDistM
 	}
-	l := d.assocLink(servDist)
-	incident, err := l.TagIncidentPowerW()
+	incident, err := d.link(servDist).TagIncidentPowerW()
 	if err != nil {
 		return 0
 	}
 	// Angle between the serving direction (retro) and the victim
 	// direction, as seen from the tag facing its serving AP.
-	thetaOut := bearingDelta(t.pos, d.apPos[t.serving], d.apPos[cc])
-	return incident * d.estRefl.BistaticGain(0, thetaOut)
+	thetaOut := bearingDelta(t.pos, d.apPos(t.serving), d.apPos(cc))
+	return incident * d.refl.BistaticGain(0, thetaOut)
 }
 
 // bearingDelta returns the absolute angle at p between directions to a
@@ -294,57 +306,24 @@ func bearingDelta(p, a, b geom.Point) float64 {
 // steered at the probe. Returns the SINR in dB and the number of
 // interferers in range (E21 uses both).
 func (d *Deployment) ProbeSINR(c int, pos geom.Point, r mac.Rate) (sinrDB float64, interferers int, err error) {
-	a, err := newCellAP()
+	n, err := d.cellNetwork(c, []*tagState{{id: probeTagID, pos: pos}})
 	if err != nil {
 		return 0, 0, err
 	}
-	n, err := sim.NewNetwork(a, nil)
-	if err != nil {
-		return 0, 0, err
-	}
-	mod, err := vanatta.ByName(d.cfg.Modulation)
-	if err != nil {
-		return 0, 0, err
-	}
-	arr, err := vanatta.New(vanatta.Config{
-		Elements:        d.cfg.TagElements,
-		InsertionLossDB: tagInsertionLossDB,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	dev, err := tag.New(tag.Config{
-		ID:             probeTagID,
-		Array:          arr,
-		Modulation:     mod,
-		SwitchRiseTime: 2e-9,
-	})
-	if err != nil {
-		return 0, 0, err
-	}
-	dist, az := geom.Polar(d.apPos[c], pos, math.Pi/2)
-	if dist < minAssocDistM {
-		dist = minAssocDistM
-	}
-	if err := n.AddTag(sim.Placement{Device: dev, DistanceM: dist, AzimuthRad: az}); err != nil {
-		return 0, 0, err
-	}
-	rosters := make([][]*tagState, d.cfg.APs)
-	for _, t := range d.tags {
-		rosters[t.serving] = append(rosters[t.serving], t)
-	}
+	rosters := d.rosters()
 	if err := d.addEdgeInterferers(n, c, rosters); err != nil {
 		return 0, 0, err
 	}
 	for cc := range rosters {
 		if cc != c && d.coChannel(c, cc) {
 			for _, t := range rosters[cc] {
-				if dd := geom.Dist(d.apPos[c], t.pos); dd <= d.cfg.InterfRangeM {
+				if dd := geom.Dist(d.apPos(c), t.pos); dd <= d.cfg.InterfRangeM {
 					interferers++
 				}
 			}
 		}
 	}
+	_, az := geom.Polar(d.apPos(c), pos, math.Pi/2)
 	snr, audible := n.SNR(probeTagID, az, r)
 	if !audible {
 		return math.Inf(-1), interferers, nil

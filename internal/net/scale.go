@@ -11,7 +11,6 @@ import (
 	"mmtag/internal/mac"
 	"mmtag/internal/obs"
 	"mmtag/internal/par"
-	"mmtag/internal/vanatta"
 )
 
 // The scale path: a tiered-fidelity deployment for populations far
@@ -34,20 +33,13 @@ const (
 	maxScaleTags = 1 << 26
 )
 
-// cosDiscoverySector is the coverage test constant: a tag is inside an
-// AP's discovery sector when the northward component of the AP→tag
-// direction is at least cos(72°) of the range.
-var cosDiscoverySector = math.Cos(discoverySectorDeg * math.Pi / 180)
-
 // ScaleConfig parameterizes a tiered-fidelity scale run. APs, Tags and
 // Seed are required; the zero value of everything else selects a
 // documented default.
 type ScaleConfig struct {
-	// APs is the number of access points (>= 1), tiled exactly like
-	// Config: Cols columns (near-square by default), CellM pitch, each
-	// AP at the midpoint of its cell's south edge facing north.
+	// APs is the number of access points (>= 1), tiled like Config's
+	// on a near-square grid of CellM-pitch cells (8 m by default).
 	APs   int
-	Cols  int
 	CellM float64
 	// Tags is the population size (1..maxScaleTags). Tags are placed
 	// uniformly over the deployment area from per-tag derived streams.
@@ -63,15 +55,6 @@ type ScaleConfig struct {
 	FramesPerTag int
 	// PayloadBytes sizes each frame's payload (32 by default).
 	PayloadBytes int
-	// ChunkSize is the tag-index block one pool shard processes (4096
-	// by default). Chunk boundaries depend only on Tags and ChunkSize,
-	// never on the worker count, so results are chunking-stable.
-	ChunkSize int
-	// TagElements sizes the tag Van Atta array (8 by default).
-	TagElements int
-	// Modulation names the association-estimate alphabet ("qpsk" by
-	// default; the polling alphabet comes from Rate).
-	Modulation string
 	// Seed drives all randomness via par.Derive.
 	Seed int64
 	// Pool shards chunks across workers; nil runs serially with
@@ -80,15 +63,21 @@ type ScaleConfig struct {
 	// Obs, when non-nil, meters the run with streaming instruments
 	// (reservoir quantiles and log-histograms; O(1) state per family).
 	Obs *obs.Handle
+	// chunkSize is the tag-index block one pool shard processes
+	// (scaleChunkSize unless a test sets it). Chunk boundaries depend
+	// only on Tags and the chunk size, never on the worker count, so
+	// results are chunking-stable.
+	chunkSize int
 }
 
+// scaleChunkSize is the default tag-index block of one pool shard.
+const scaleChunkSize = 4096
+
+// scaleModulation is the association-estimate alphabet of the scale
+// path; the polling alphabet comes from ScaleConfig.Rate.
+const scaleModulation = "qpsk"
+
 func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.CellM == 0 {
-		c.CellM = 8
-	}
-	if c.Cols <= 0 {
-		c.Cols = int(math.Ceil(math.Sqrt(float64(c.APs))))
-	}
 	if c.Rate.Mod.Name == "" {
 		c.Rate = ProbeRate()
 	}
@@ -98,14 +87,8 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.PayloadBytes == 0 {
 		c.PayloadBytes = 32
 	}
-	if c.ChunkSize == 0 {
-		c.ChunkSize = 4096
-	}
-	if c.TagElements == 0 {
-		c.TagElements = 8
-	}
-	if c.Modulation == "" {
-		c.Modulation = "qpsk"
+	if c.chunkSize == 0 {
+		c.chunkSize = scaleChunkSize
 	}
 	return c
 }
@@ -206,14 +189,8 @@ func newScaleMetrics(reg *obs.Registry) *scaleMetrics {
 // ScaleDeployment is the immutable geometry and link model of a scale
 // run; Run may be called repeatedly and concurrently.
 type ScaleDeployment struct {
-	cfg        ScaleConfig
-	rows, cols int
-	apX, apY   []float64
-	// snrAssoc1m is the linear association-bandwidth SNR at 1 m range.
-	// The analytic budget is monostatic free space, so SNR(d) =
-	// snrAssoc1m / d^4 exactly — one division per candidate AP in the
-	// hot loop instead of a full link-budget evaluation.
-	snrAssoc1m float64
+	apGrid
+	cfg ScaleConfig
 	// rateSNRScale converts association-bandwidth SNR to the rate's
 	// symbol-rate noise bandwidth (assocBandwidthHz / SymbolRate).
 	rateSNRScale float64
@@ -222,78 +199,37 @@ type ScaleDeployment struct {
 	m            *scaleMetrics
 }
 
-// NewScale builds the scale deployment: the AP grid and the analytic
-// link constants shared with the deployment association estimate.
+// NewScale builds the scale deployment: the AP grid and association
+// model the poll-level Deployment uses, at the configured pitch.
 func NewScale(cfg ScaleConfig) (*ScaleDeployment, error) {
 	cfg = cfg.withDefaults()
-	if cfg.APs < 1 {
-		return nil, fmt.Errorf("net: scale deployment needs at least one AP, got %d", cfg.APs)
-	}
-	if cfg.APs > maxCells {
-		return nil, fmt.Errorf("net: too many APs (%d)", cfg.APs)
-	}
 	if cfg.Tags < 1 || cfg.Tags > maxScaleTags {
 		return nil, fmt.Errorf("net: scale tags must be in [1,%d], got %d", maxScaleTags, cfg.Tags)
 	}
 	if cfg.FramesPerTag < 1 {
 		return nil, fmt.Errorf("net: frames per tag must be >= 1, got %d", cfg.FramesPerTag)
 	}
-	ref, err := newCellAP()
+	g, err := newGrid(cfg.APs, 0, cfg.CellM, scaleModulation)
 	if err != nil {
 		return nil, err
-	}
-	refl, err := vanatta.New(vanatta.Config{
-		Elements:        cfg.TagElements,
-		InsertionLossDB: tagInsertionLossDB,
-	})
-	if err != nil {
-		return nil, err
-	}
-	mod, err := vanatta.ByName(cfg.Modulation)
-	if err != nil {
-		return nil, fmt.Errorf("net: %w", err)
 	}
 	s := &ScaleDeployment{
-		cfg:   cfg,
-		cols:  cfg.Cols,
-		rows:  (cfg.APs + cfg.Cols - 1) / cfg.Cols,
-		tiers: link.DefaultThresholds(),
+		apGrid:       g,
+		cfg:          cfg,
+		rateSNRScale: assocBandwidthHz / cfg.Rate.SymbolRate(),
+		tiers:        link.DefaultThresholds(),
+		airBits:      frame.AirBits(cfg.PayloadBytes, frame.Options{Coded: cfg.Rate.Coded}),
+		m:            newScaleMetrics(cfg.Obs.Registry()),
 	}
 	if cfg.Tiers != nil {
 		s.tiers = *cfg.Tiers
 	}
-	// The same analytic budget Deployment.snrEstDB evaluates, taken at
-	// 1 m; free-space monostatic SNR then scales exactly as 1/d^4.
-	est := &Deployment{
-		apGainLin:  ref.GainToward(0),
-		freqHz:     ref.Config().FreqHz,
-		txPowerW:   ref.Config().TxPowerW,
-		noiseFigDB: ref.Config().NoiseFigureDB,
-		estRefl:    refl,
-		estEff:     mod.MeanReflectedPower(),
-	}
-	snr1m, err := est.assocLink(1).SNR(assocBandwidthHz)
-	if err != nil {
-		return nil, fmt.Errorf("net: scale budget: %w", err)
-	}
-	s.snrAssoc1m = snr1m
-	s.rateSNRScale = assocBandwidthHz / cfg.Rate.SymbolRate()
-	s.airBits = frame.AirBits(cfg.PayloadBytes, frame.Options{Coded: cfg.Rate.Coded})
-	for a := 0; a < cfg.APs; a++ {
-		r, c := a/s.cols, a%s.cols
-		s.apX = append(s.apX, (float64(c)+0.5)*cfg.CellM)
-		s.apY = append(s.apY, float64(r)*cfg.CellM)
-	}
-	s.m = newScaleMetrics(cfg.Obs.Registry())
 	if s.m != nil {
 		s.m.aps.Set(float64(cfg.APs))
 		s.m.tags.Set(float64(cfg.Tags))
 	}
 	return s, nil
 }
-
-func (s *ScaleDeployment) Width() float64  { return float64(s.cols) * s.cfg.CellM }
-func (s *ScaleDeployment) Height() float64 { return float64(s.rows) * s.cfg.CellM }
 
 // tagPos derives tag i's position from its private placement stream —
 // the same margins Deployment placement uses (0.5 m off the south
@@ -303,98 +239,6 @@ func (s *ScaleDeployment) tagPos(i int) (x, y float64) {
 	x = ps.Float64() * s.Width()
 	y = 0.5 + ps.Float64()*(s.Height()-0.5)
 	return x, y
-}
-
-// snrEstAt returns the linear association-bandwidth SNR from AP a to
-// (x, y), with the deployment's minimum-range clamp.
-func (s *ScaleDeployment) snrEstAt(a int, x, y float64) float64 {
-	dx, dy := x-s.apX[a], y-s.apY[a]
-	d2 := dx*dx + dy*dy
-	if d2 < minAssocDistM*minAssocDistM {
-		d2 = minAssocDistM * minAssocDistM
-	}
-	return s.snrAssoc1m / (d2 * d2)
-}
-
-// coversAt reports whether AP a's discovery sector (±72° off north)
-// contains (x, y) — the pure-math form of Deployment.covers.
-func (s *ScaleDeployment) coversAt(a int, x, y float64) bool {
-	dx, dy := x-s.apX[a], y-s.apY[a]
-	d := math.Sqrt(dx*dx + dy*dy)
-	return dy >= d*cosDiscoverySector
-}
-
-// better reports whether candidate (snr, a) beats the incumbent
-// (bestSNR, best) under the deployment tie rule — higher SNR wins,
-// exact ties keep the lowest AP index. Expressed symmetrically so the
-// selection is independent of scan order.
-func better(snr float64, a int, bestSNR float64, best int) bool {
-	if snr != bestSNR {
-		return snr > bestSNR
-	}
-	return a < best
-}
-
-// assign returns tag position (x, y)'s serving AP and association SNR.
-// Candidates come from the 3×3 grid-cell neighbourhood of the
-// containing cell — with south-edge APs facing north, the nearest
-// covering AP always lies there (TestScaleAssignStableUnderReEnumeration
-// pins this against the exhaustive scan). Covering APs win; a position
-// no sector covers falls back to the best AP regardless, like
-// Deployment.bestAP.
-func (s *ScaleDeployment) assign(x, y float64) (best int, bestSNR float64) {
-	cc := int(x / s.cfg.CellM)
-	cr := int(y / s.cfg.CellM)
-	best, bestSNR = -1, math.Inf(-1)
-	fallback, fallbackSNR := -1, math.Inf(-1)
-	for r := cr - 1; r <= cr+1; r++ {
-		if r < 0 || r >= s.rows {
-			continue
-		}
-		for c := cc - 1; c <= cc+1; c++ {
-			if c < 0 || c >= s.cols {
-				continue
-			}
-			a := r*s.cols + c
-			if a >= s.cfg.APs {
-				continue
-			}
-			snr := s.snrEstAt(a, x, y)
-			if s.coversAt(a, x, y) {
-				if best < 0 || better(snr, a, bestSNR, best) {
-					best, bestSNR = a, snr
-				}
-			} else if fallback < 0 || better(snr, a, fallbackSNR, fallback) {
-				fallback, fallbackSNR = a, snr
-			}
-		}
-	}
-	if best >= 0 {
-		return best, bestSNR
-	}
-	return fallback, fallbackSNR
-}
-
-// assignFull is the exhaustive-scan reference for assign, used by the
-// neighbourhood-correctness and enumeration-stability tests. order
-// permutes the scan; the result must not depend on it.
-func (s *ScaleDeployment) assignFull(x, y float64, order []int) (best int, bestSNR float64) {
-	best, bestSNR = -1, math.Inf(-1)
-	fallback, fallbackSNR := -1, math.Inf(-1)
-	for _, a := range order {
-		snr := s.snrEstAt(a, x, y)
-		if s.coversAt(a, x, y) {
-			if best < 0 || better(snr, a, bestSNR, best) {
-				best, bestSNR = a, snr
-			}
-		} else if fallback < 0 || better(snr, a, fallbackSNR, fallback) {
-			fallback, fallbackSNR = a, snr
-		}
-	}
-	if best >= 0 {
-		return best, bestSNR
-	}
-	return fallback, fallbackSNR
 }
 
 // TagAssignment exposes one tag's derived placement, serving AP,
@@ -407,14 +251,14 @@ func (s *ScaleDeployment) TagAssignment(i int) (apIdx int, snrDB float64, tier l
 	return apIdx, snrDB, s.tiers.Pick(snrDB)
 }
 
-// Run simulates the population: chunks of ChunkSize consecutive tag
+// Run simulates the population: chunks of consecutive tag
 // indices fan out over the pool, every tag draws its frames from its
 // private per-tier stream, and each chunk merges its per-AP cells into
 // the report's once. The report is byte-identical at any worker count.
 func (s *ScaleDeployment) Run() (*ScaleReport, error) {
 	cfg := s.cfg
 	agg := &scaleAgg{cells: make([]ScaleCell, cfg.APs)}
-	nChunks := (cfg.Tags + cfg.ChunkSize - 1) / cfg.ChunkSize
+	nChunks := (cfg.Tags + cfg.chunkSize - 1) / cfg.chunkSize
 	if err := cfg.Pool.Map(nil, nChunks, func(ci int) error {
 		return s.runChunk(ci, agg)
 	}); err != nil {
@@ -501,7 +345,7 @@ func putChunkEngines(e *chunkEngines) {
 	chunkEnginesPool.Put(e)
 }
 
-// runChunk simulates tags [ci*ChunkSize, min((ci+1)*ChunkSize, Tags)).
+// runChunk simulates tags [ci*chunkSize, min((ci+1)*chunkSize, Tags)).
 // The tier-c path is allocation-free per tag (value-type RNG streams,
 // closed-form outcomes); the tier-a/b heads borrow pooled engines and
 // reseed a single shared RNG per tag.
@@ -516,8 +360,8 @@ func putChunkEngines(e *chunkEngines) {
 // commute; agg sees the cells once, after the last flush.
 func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 	cfg := s.cfg
-	lo := ci * cfg.ChunkSize
-	hi := lo + cfg.ChunkSize
+	lo := ci * cfg.chunkSize
+	hi := lo + cfg.chunkSize
 	if hi > cfg.Tags {
 		hi = cfg.Tags
 	}

@@ -1,6 +1,7 @@
 package net
 
 import (
+	"fmt"
 	"math"
 	"reflect"
 	"runtime"
@@ -18,12 +19,11 @@ import (
 func scaleCfg() ScaleConfig {
 	return ScaleConfig{
 		APs:          9,
-		Cols:         3,
 		CellM:        32,
 		Tags:         800,
 		Seed:         4242,
 		FramesPerTag: 2,
-		ChunkSize:    97,
+		chunkSize:    97,
 	}
 }
 
@@ -44,15 +44,15 @@ func runScale(t *testing.T, cfg ScaleConfig) *ScaleReport {
 // reproducibility contract: the report must be byte-identical whether
 // chunks run serially, on a pool, or with a different chunk size
 // entirely — every tag is a pure function of (seed, index) and the
-// per-chunk merge commutes. ChunkSize 1 merges once per tag; ChunkSize
-// == Tags merges a single chunk.
+// per-chunk merge commutes. Chunk size 1 merges once per tag; chunk
+// size == Tags merges a single chunk.
 func TestScaleDeterministicAcrossParallelism(t *testing.T) {
 	serial := runScale(t, scaleCfg())
 	for _, tc := range []struct{ workers, chunk int }{
 		{8, 97}, {0, 256}, {2, 1}, {8, 1}, {2, 800}, {8, 800},
 	} {
 		cfg := scaleCfg()
-		cfg.ChunkSize = tc.chunk
+		cfg.chunkSize = tc.chunk
 		if tc.workers > 0 {
 			pool := par.New(par.Config{Workers: tc.workers})
 			defer pool.Close()
@@ -100,33 +100,50 @@ func TestScaleConcurrentRuns(t *testing.T) {
 }
 
 // TestScaleAssignStableUnderReEnumeration pins association (and hence
-// tier assignment) against AP-grid re-enumeration: the neighbourhood
-// scan, the exhaustive forward scan and the exhaustive reverse scan
-// must all pick the same AP at the same SNR for every sampled tag.
+// tier assignment) against AP-grid re-enumeration: on complete grids,
+// on ragged ones (the last row short of APs) and on explicit column
+// counts, the neighbourhood scan, the exhaustive forward scan and the
+// exhaustive reverse scan must all pick the same AP at the same SNR
+// for every sampled position.
 func TestScaleAssignStableUnderReEnumeration(t *testing.T) {
-	s, err := NewScale(scaleCfg())
-	if err != nil {
-		t.Fatal(err)
-	}
-	fwd := make([]int, s.cfg.APs)
-	rev := make([]int, s.cfg.APs)
-	for i := range fwd {
-		fwd[i] = i
-		rev[i] = s.cfg.APs - 1 - i
-	}
-	for i := 0; i < 2000; i++ {
-		x, y := s.tagPos(i)
-		apN, snrN := s.assign(x, y)
-		apF, snrF := s.assignFull(x, y, fwd)
-		apR, snrR := s.assignFull(x, y, rev)
-		if apN != apF || snrN != snrF {
-			t.Fatalf("tag %d at (%.2f,%.2f): neighbourhood (%d,%g) vs full scan (%d,%g)",
-				i, x, y, apN, snrN, apF, snrF)
-		}
-		if apF != apR || snrF != snrR {
-			t.Fatalf("tag %d at (%.2f,%.2f): forward scan (%d,%g) vs reverse scan (%d,%g)",
-				i, x, y, apF, snrF, apR, snrR)
-		}
+	for _, tc := range []struct{ aps, cols int }{
+		// Complete grids.
+		{1, 0}, {4, 0}, {9, 0}, {16, 0}, {64, 0},
+		// Ragged grids with the default near-square columns.
+		{7, 0}, {10, 0}, {13, 0}, {17, 0},
+		// Explicit columns: ragged, a single column, a single row.
+		{5, 3}, {7, 4}, {4, 1}, {5, 5},
+	} {
+		t.Run(fmt.Sprintf("aps%d_cols%d", tc.aps, tc.cols), func(t *testing.T) {
+			g, err := newGrid(tc.aps, tc.cols, 32, scaleModulation)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fwd := make([]int, tc.aps)
+			rev := make([]int, tc.aps)
+			for i := range fwd {
+				fwd[i] = i
+				rev[i] = tc.aps - 1 - i
+			}
+			// Positions drawn the way tagPos draws them, 0.5 m off the
+			// south wall.
+			ps := par.NewStream(4242, 0)
+			for i := 0; i < 4000; i++ {
+				x := ps.Float64() * g.Width()
+				y := 0.5 + ps.Float64()*(g.Height()-0.5)
+				apN, snrN := g.assign(x, y)
+				apF, snrF := g.assignFull(x, y, fwd)
+				apR, snrR := g.assignFull(x, y, rev)
+				if apN != apF || snrN != snrF {
+					t.Fatalf("(%.2f,%.2f): neighbourhood (%d,%g) vs full scan (%d,%g)",
+						x, y, apN, snrN, apF, snrF)
+				}
+				if apF != apR || snrF != snrR {
+					t.Fatalf("(%.2f,%.2f): forward scan (%d,%g) vs reverse scan (%d,%g)",
+						x, y, apF, snrF, apR, snrR)
+				}
+			}
+		})
 	}
 }
 
@@ -190,10 +207,10 @@ func TestScaleRunAllocsOAPs(t *testing.T) {
 		}
 		allocsFor := func(tags int) float64 {
 			cfg := ScaleConfig{
-				APs: 9, Cols: 3, CellM: 32,
+				APs: 9, CellM: 32,
 				Tags: tags, Seed: 4242,
 				FramesPerTag: 2,
-				ChunkSize:    tags, // one chunk: isolate per-tag from per-chunk cost
+				chunkSize:    tags, // one chunk: isolate per-tag from per-chunk cost
 				Tiers:        &l.tiers,
 			}
 			s, err := NewScale(cfg)
@@ -324,6 +341,24 @@ func TestScaleTagAssignmentTotal(t *testing.T) {
 		}
 		if tier < link.TierWaveform || tier > link.TierBudget {
 			t.Fatalf("tag %d has invalid tier %d", i, tier)
+		}
+	}
+}
+
+// TestScaleConfigValidation covers NewScale's error paths. A cell
+// pitch that is negative, NaN or infinite must fail here, not as a
+// position assigned to AP -1 inside Run.
+func TestScaleConfigValidation(t *testing.T) {
+	for _, cfg := range []ScaleConfig{
+		{APs: 0, Tags: 10},
+		{APs: 4, Tags: 0},
+		{APs: 4, Tags: 10, FramesPerTag: -1},
+		{APs: 4, Tags: 10, CellM: -8},
+		{APs: 4, Tags: 10, CellM: math.NaN()},
+		{APs: 4, Tags: 10, CellM: math.Inf(1)},
+	} {
+		if _, err := NewScale(cfg); err == nil {
+			t.Errorf("config %+v accepted, want error", cfg)
 		}
 	}
 }

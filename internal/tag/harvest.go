@@ -41,9 +41,13 @@ func DefaultHarvester() Harvester {
 	}
 }
 
-// Validate reports parameter errors.
+// Validate reports parameter errors, NaN and ±Inf among them: every
+// range check below is false for NaN, so without the first case a NaN
+// field would pass them all.
 func (h Harvester) Validate() error {
 	switch {
+	case !finite(h.SplitFraction, h.PeakEfficiency, h.KneeW, h.SensitivityW):
+		return fmt.Errorf("tag: harvester parameters must be finite, got %+v", h)
 	case h.SplitFraction <= 0 || h.SplitFraction >= 1:
 		return fmt.Errorf("tag: harvest split must be in (0,1), got %g", h.SplitFraction)
 	case h.PeakEfficiency <= 0 || h.PeakEfficiency > 1:
@@ -54,6 +58,16 @@ func (h Harvester) Validate() error {
 		return fmt.Errorf("tag: sensitivity %g must sit below the knee %g", h.SensitivityW, h.KneeW)
 	}
 	return nil
+}
+
+// finite reports whether every v is neither NaN nor ±Inf.
+func finite(vs ...float64) bool {
+	for _, v := range vs {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return false
+		}
+	}
+	return true
 }
 
 // Efficiency returns the RF-to-DC conversion efficiency at the given

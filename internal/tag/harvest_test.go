@@ -21,6 +21,16 @@ func TestHarvesterValidation(t *testing.T) {
 		{SplitFraction: 0.5, PeakEfficiency: 0.3, KneeW: 0, SensitivityW: 0},
 		{SplitFraction: 0.5, PeakEfficiency: 0.3, KneeW: 1e-5, SensitivityW: 1e-4},
 	}
+	// A NaN or +Inf in any field must fail too: NaN is false under
+	// every range comparison, and +Inf passes the one-sided ones.
+	for _, v := range []float64{math.NaN(), math.Inf(1)} {
+		for f := 0; f < 4; f++ {
+			h := DefaultHarvester()
+			fields := []*float64{&h.SplitFraction, &h.PeakEfficiency, &h.KneeW, &h.SensitivityW}
+			*fields[f] = v
+			bad = append(bad, h)
+		}
+	}
 	for i, h := range bad {
 		if err := h.Validate(); err == nil {
 			t.Fatalf("harvester %d must fail validation", i)
