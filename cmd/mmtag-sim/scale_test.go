@@ -2,7 +2,6 @@ package main
 
 import (
 	"bytes"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -24,17 +23,29 @@ func scaleOptions() options {
 
 // TestScaleGolden pins the scale path's acceptance criterion: the
 // report is byte-identical at -parallel 1 and -parallel 8 and matches
-// the checked-in golden, on a complete 3x3 grid and on a ragged one (7
+// the checked-in golden, on a complete 3x3 grid, on a ragged one (7
 // APs leave two empty slots in the last row, where association falls
-// back to the exhaustive scan). Regenerate with:
+// back to the exhaustive scan) and for a million tags on the
+// link-budget tier over 256 APs. Regenerate with:
 //
 //	go run ./cmd/mmtag-sim -scale 20000 -aps 9 -seed 42 > cmd/mmtag-sim/testdata/scale20000_aps9_seed42.golden
 //	go run ./cmd/mmtag-sim -scale 20000 -aps 7 -seed 42 > cmd/mmtag-sim/testdata/scale20000_aps7_seed42.golden
+//	go run ./cmd/mmtag-sim -scale 1000000 -aps 256 -tiers c -seed 42 > cmd/mmtag-sim/testdata/scale1000000_aps256_tiersc_seed42.golden
 func TestScaleGolden(t *testing.T) {
-	for _, aps := range []int{9, 7} {
+	for _, tc := range []struct {
+		tags, aps int
+		tiers     string
+		golden    string
+	}{
+		{20000, 9, "", "scale20000_aps9_seed42.golden"},
+		{20000, 7, "", "scale20000_aps7_seed42.golden"},
+		{1000000, 256, "c", "scale1000000_aps256_tiersc_seed42.golden"},
+	} {
 		render := func(workers int) string {
 			o := scaleOptions()
-			o.aps = aps
+			o.scale = tc.tags
+			o.aps = tc.aps
+			o.tiers = tc.tiers
 			o.parallel = workers
 			buf := &bytes.Buffer{}
 			o.out = buf
@@ -45,17 +56,16 @@ func TestScaleGolden(t *testing.T) {
 		}
 		serial := render(1)
 		if got := render(8); got != serial {
-			t.Errorf("%d APs: scale output at 8 workers differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
-				aps, serial, got)
+			t.Errorf("%s: scale output at 8 workers differs from serial:\n--- serial ---\n%s--- parallel ---\n%s",
+				tc.golden, serial, got)
 		}
-		name := fmt.Sprintf("scale20000_aps%d_seed42.golden", aps)
-		golden, err := os.ReadFile(filepath.Join("testdata", name))
+		golden, err := os.ReadFile(filepath.Join("testdata", tc.golden))
 		if err != nil {
 			t.Fatal(err)
 		}
 		if serial != string(golden) {
 			t.Errorf("scale output drifted from %s:\n--- golden ---\n%s--- got ---\n%s",
-				name, golden, serial)
+				tc.golden, golden, serial)
 		}
 	}
 }

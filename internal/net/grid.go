@@ -160,9 +160,13 @@ func (g *apGrid) snrAt(a int, x, y float64) float64 {
 
 // coversAt reports whether AP a's discovery sector (±72° off its north
 // boresight) contains (x, y). Association is sector-aware because an AP
-// can only discover and poll tags its beam sweep reaches.
+// can only discover and poll tags its beam sweep reaches. A tag south
+// of the AP is never covered, and that needs no square root.
 func (g *apGrid) coversAt(a int, x, y float64) bool {
 	dx, dy := x-g.apX[a], y-g.apY[a]
+	if dy < 0 {
+		return false
+	}
 	d := math.Sqrt(dx*dx + dy*dy)
 	return dy >= d*cosDiscoverySector
 }
@@ -187,22 +191,24 @@ func better(snr float64, a int, bestSNR float64, best int) bool {
 // containing cell: with south-edge APs facing north, the winner always
 // lies there when every neighbourhood slot inside the grid holds an
 // AP. Next to the empty slots of a ragged last row it may not, so
-// there assign falls back to the exhaustive scan.
+// there assign falls back to the exhaustive scan. The APs of the row
+// north of the containing cell sit north of the tag, so they never
+// cover it: that row is scanned only when the tag's own row and the
+// one south of it hold no covering AP, for the fallback, or when
+// rounding has put the row's APs level with the tag.
 // TestScaleAssignStableUnderReEnumeration pins assign to assignFull on
 // complete and ragged grids.
 func (g *apGrid) assign(x, y float64) (best int, bestSNR float64) {
 	cc := int(x / g.cellM)
 	cr := int(y / g.cellM)
+	c0, c1 := max(cc-1, 0), min(cc+1, g.cols-1)
 	best, bestSNR = -1, math.Inf(-1)
 	fallback, fallbackSNR := -1, math.Inf(-1)
-	for r := cr - 1; r <= cr+1; r++ {
-		if r < 0 || r >= g.rows {
-			continue
+	for r := max(cr-1, 0); r <= cr+1 && r < g.rows; r++ {
+		if r == cr+1 && best >= 0 && g.apY[r*g.cols] > y {
+			break
 		}
-		for c := cc - 1; c <= cc+1; c++ {
-			if c < 0 || c >= g.cols {
-				continue
-			}
+		for c := c0; c <= c1; c++ {
 			a := r*g.cols + c
 			if a >= g.aps {
 				return g.assignFull(x, y, nil)

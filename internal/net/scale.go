@@ -8,7 +8,6 @@ import (
 	"mmtag/internal/fastrand"
 	"mmtag/internal/frame"
 	"mmtag/internal/link"
-	"mmtag/internal/mac"
 	"mmtag/internal/obs"
 	"mmtag/internal/par"
 )
@@ -47,9 +46,6 @@ type ScaleConfig struct {
 	// Tiers maps association SNR to fidelity tier
 	// (link.DefaultThresholds by default).
 	Tiers *link.Thresholds
-	// Rate is the polling rate every tag uses (ProbeRate by default —
-	// the same mid-ladder entry the deployment probes with).
-	Rate mac.Rate
 	// FramesPerTag is how many poll frames each tag attempts (4 by
 	// default).
 	FramesPerTag int
@@ -73,14 +69,17 @@ type ScaleConfig struct {
 // scaleChunkSize is the default tag-index block of one pool shard.
 const scaleChunkSize = 4096
 
-// scaleModulation is the association-estimate alphabet of the scale
-// path; the polling alphabet comes from ScaleConfig.Rate.
-const scaleModulation = "qpsk"
+// scaleRate is the rate every scale-path tag polls at: ProbeRate, the
+// mid-ladder entry the deployment probes with. Its alphabet is also
+// the association estimate's. Its QPSK bit error rate falls with SNR,
+// the premise of the tier-c link.BudgetTable.
+var scaleRate = ProbeRate()
+
+// scaleSNRScale converts association-bandwidth SNR to scaleRate's
+// symbol-rate noise bandwidth.
+var scaleSNRScale = assocBandwidthHz / scaleRate.SymbolRate()
 
 func (c ScaleConfig) withDefaults() ScaleConfig {
-	if c.Rate.Mod.Name == "" {
-		c.Rate = ProbeRate()
-	}
 	if c.FramesPerTag == 0 {
 		c.FramesPerTag = 4
 	}
@@ -190,13 +189,15 @@ func newScaleMetrics(reg *obs.Registry) *scaleMetrics {
 // run; Run may be called repeatedly and concurrently.
 type ScaleDeployment struct {
 	apGrid
-	cfg ScaleConfig
-	// rateSNRScale converts association-bandwidth SNR to the rate's
-	// symbol-rate noise bandwidth (assocBandwidthHz / SymbolRate).
-	rateSNRScale float64
-	tiers        link.Thresholds
-	airBits      int
-	m            *scaleMetrics
+	cfg     ScaleConfig
+	tiers   link.Thresholds
+	airBits int
+	m       *scaleMetrics
+	// budgetOnce builds budgetTable, the tier-c bracket table, on the
+	// first Run rather than in NewScale: the table costs about 1,800
+	// closed-form evaluations, far more than the rest of set-up.
+	budgetOnce  sync.Once
+	budgetTable *link.BudgetTable
 }
 
 // NewScale builds the scale deployment: the AP grid and association
@@ -209,17 +210,16 @@ func NewScale(cfg ScaleConfig) (*ScaleDeployment, error) {
 	if cfg.FramesPerTag < 1 {
 		return nil, fmt.Errorf("net: frames per tag must be >= 1, got %d", cfg.FramesPerTag)
 	}
-	g, err := newGrid(cfg.APs, 0, cfg.CellM, scaleModulation)
+	g, err := newGrid(cfg.APs, 0, cfg.CellM, scaleRate.Mod.Name)
 	if err != nil {
 		return nil, err
 	}
 	s := &ScaleDeployment{
-		apGrid:       g,
-		cfg:          cfg,
-		rateSNRScale: assocBandwidthHz / cfg.Rate.SymbolRate(),
-		tiers:        link.DefaultThresholds(),
-		airBits:      frame.AirBits(cfg.PayloadBytes, frame.Options{Coded: cfg.Rate.Coded}),
-		m:            newScaleMetrics(cfg.Obs.Registry()),
+		apGrid:  g,
+		cfg:     cfg,
+		tiers:   link.DefaultThresholds(),
+		airBits: frame.AirBits(cfg.PayloadBytes, frame.Options{Coded: scaleRate.Coded}),
+		m:       newScaleMetrics(cfg.Obs.Registry()),
 	}
 	if cfg.Tiers != nil {
 		s.tiers = *cfg.Tiers
@@ -257,6 +257,7 @@ func (s *ScaleDeployment) TagAssignment(i int) (apIdx int, snrDB float64, tier l
 // the report's once. The report is byte-identical at any worker count.
 func (s *ScaleDeployment) Run() (*ScaleReport, error) {
 	cfg := s.cfg
+	s.budgetOnce.Do(func() { s.budgetTable = link.NewBudgetTable(scaleRate, s.airBits) })
 	agg := &scaleAgg{cells: make([]ScaleCell, cfg.APs)}
 	nChunks := (cfg.Tags + cfg.chunkSize - 1) / cfg.chunkSize
 	if err := cfg.Pool.Map(nil, nChunks, func(ci int) error {
@@ -269,7 +270,7 @@ func (s *ScaleDeployment) Run() (*ScaleReport, error) {
 		Rows:         s.rows,
 		Cols:         s.cols,
 		Tags:         cfg.Tags,
-		Rate:         cfg.Rate.String(),
+		Rate:         scaleRate.String(),
 		FramesPerTag: cfg.FramesPerTag,
 		PayloadBytes: cfg.PayloadBytes,
 		AirBits:      s.airBits,
@@ -365,7 +366,6 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 	if hi > cfg.Tags {
 		hi = cfg.Tags
 	}
-	var bud link.Budget
 	e := chunkEnginesPool.Get().(*chunkEngines)
 	defer putChunkEngines(e)
 	e.cells = append(e.cells[:0], make([]ScaleCell, cfg.APs)...) // zeroed, reuses capacity
@@ -410,18 +410,19 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 		a, snr := s.assign(x, y)
 		snrDB := 10 * math.Log10(snr)
 		tier := s.tiers.Pick(snrDB)
-		snrRate := snr * s.rateSNRScale
+		snrRate := snr * scaleSNRScale
 
 		ok := 0
 		linkStream := streamScaleLinkBase + uint64(tier)*scaleTierStride + uint64(i)
 		switch tier {
 		case link.TierBudget:
-			// Rate, SNR and air bits are fixed for the tag, so the
-			// closed-form probability is too; only the draws are per frame.
+			// Rate, SNR and air bits are fixed for the tag, so one
+			// bracket decides every draw; the closed form runs only
+			// when a draw lands inside it.
 			st := par.NewStream(cfg.Seed, linkStream)
-			p := bud.SuccessProb(cfg.Rate, snrRate, s.airBits)
+			br := s.budgetTable.At(snrRate)
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				if st.Float64() < p {
+				if br.Delivered(st.Float64()) {
 					ok++
 				}
 			}
@@ -431,7 +432,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 			}
 			rng := e.reseed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				if err := e.wav.StageFrame(&e.batch, cfg.Rate, snrRate, cfg.PayloadBytes, rng); err != nil {
+				if err := e.wav.StageFrame(&e.batch, scaleRate, snrRate, cfg.PayloadBytes, rng); err != nil {
 					return err
 				}
 			}
@@ -448,7 +449,7 @@ func (s *ScaleDeployment) runChunk(ci int, agg *scaleAgg) error {
 			}
 			rng := e.reseed(par.Derive(cfg.Seed, linkStream))
 			for f := 0; f < cfg.FramesPerTag; f++ {
-				good, err := e.sym.FrameSuccess(cfg.Rate, snrRate, cfg.PayloadBytes, rng)
+				good, err := e.sym.FrameSuccess(scaleRate, snrRate, cfg.PayloadBytes, rng)
 				if err != nil {
 					return err
 				}

@@ -104,7 +104,13 @@ func TestScaleConcurrentRuns(t *testing.T) {
 // on ragged ones (the last row short of APs) and on explicit column
 // counts, the neighbourhood scan, the exhaustive forward scan and the
 // exhaustive reverse scan must all pick the same AP at the same SNR
-// for every sampled position.
+// for every sampled position. Beside positions drawn the way tagPos
+// draws them, the samples include every cell corner and points just
+// either side of it, points spread over the ragged last row, and every
+// AP's own position. At a 0.7 m pitch rounding puts some AP rows
+// inside the cell south of them (row 3 sits at y = 3*0.7 =
+// 2.0999999999999996, and y/0.7 < 3), so a tag standing on such an AP
+// is served from the row north of its cell.
 func TestScaleAssignStableUnderReEnumeration(t *testing.T) {
 	for _, tc := range []struct{ aps, cols int }{
 		// Complete grids.
@@ -115,32 +121,50 @@ func TestScaleAssignStableUnderReEnumeration(t *testing.T) {
 		{5, 3}, {7, 4}, {4, 1}, {5, 5},
 	} {
 		t.Run(fmt.Sprintf("aps%d_cols%d", tc.aps, tc.cols), func(t *testing.T) {
-			g, err := newGrid(tc.aps, tc.cols, 32, scaleModulation)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fwd := make([]int, tc.aps)
-			rev := make([]int, tc.aps)
-			for i := range fwd {
-				fwd[i] = i
-				rev[i] = tc.aps - 1 - i
-			}
-			// Positions drawn the way tagPos draws them, 0.5 m off the
-			// south wall.
-			ps := par.NewStream(4242, 0)
-			for i := 0; i < 4000; i++ {
-				x := ps.Float64() * g.Width()
-				y := 0.5 + ps.Float64()*(g.Height()-0.5)
-				apN, snrN := g.assign(x, y)
-				apF, snrF := g.assignFull(x, y, fwd)
-				apR, snrR := g.assignFull(x, y, rev)
-				if apN != apF || snrN != snrF {
-					t.Fatalf("(%.2f,%.2f): neighbourhood (%d,%g) vs full scan (%d,%g)",
-						x, y, apN, snrN, apF, snrF)
+			for _, cellM := range []float64{32, 0.7} {
+				g, err := newGrid(tc.aps, tc.cols, cellM, scaleRate.Mod.Name)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if apF != apR || snrF != snrR {
-					t.Fatalf("(%.2f,%.2f): forward scan (%d,%g) vs reverse scan (%d,%g)",
-						x, y, apF, snrF, apR, snrR)
+				fwd := make([]int, tc.aps)
+				rev := make([]int, tc.aps)
+				for i := range fwd {
+					fwd[i] = i
+					rev[i] = tc.aps - 1 - i
+				}
+				check := func(x, y float64) {
+					apN, snrN := g.assign(x, y)
+					apF, snrF := g.assignFull(x, y, fwd)
+					apR, snrR := g.assignFull(x, y, rev)
+					if apN != apF || snrN != snrF {
+						t.Fatalf("%g m cells, (%.17g,%.17g): neighbourhood (%d,%g) vs full scan (%d,%g)",
+							cellM, x, y, apN, snrN, apF, snrF)
+					}
+					if apF != apR || snrF != snrR {
+						t.Fatalf("%g m cells, (%.17g,%.17g): forward scan (%d,%g) vs reverse scan (%d,%g)",
+							cellM, x, y, apF, snrF, apR, snrR)
+					}
+				}
+				ps := par.NewStream(4242, 0)
+				for i := 0; i < 4000; i++ {
+					check(ps.Float64()*g.Width(), 0.5+ps.Float64()*(g.Height()-0.5))
+				}
+				for r := 0; r <= g.rows; r++ {
+					for c := 0; c <= g.cols; c++ {
+						x, y := float64(c)*cellM, float64(r)*cellM
+						for _, dx := range []float64{-1, 0, 1} {
+							for _, dy := range []float64{-1, 0, 1} {
+								check(math.Nextafter(x, x+dx), math.Nextafter(y, y+dy))
+							}
+						}
+					}
+				}
+				last := float64(g.rows-1) * cellM
+				for i := 0; i < 1000; i++ {
+					check(ps.Float64()*g.Width(), last+ps.Float64()*cellM)
+				}
+				for a := 0; a < tc.aps; a++ {
+					check(g.apX[a], g.apY[a])
 				}
 			}
 		})
@@ -192,25 +216,35 @@ func TestScaleReportTotalsConsistent(t *testing.T) {
 // times over must not grow the per-Run allocation count, on the
 // all-budget ladder (tier c's per-tag hot path is allocation-free) and
 // on an all-symbol ladder (tier b reseeds one chunk-wide generator and
-// its fused BER body borrows pooled scratch).
+// its fused BER body borrows pooled scratch). The chunked budget case
+// runs 21 and 165 chunks: the tier-c bracket table is built once per
+// deployment, so the chunk count must not show either.
 func TestScaleRunAllocsOAPs(t *testing.T) {
 	ladders := []struct {
 		name  string
 		tiers link.Thresholds
+		chunk int // 0: one chunk, isolating per-tag from per-chunk cost
 	}{
-		{"budget", link.AllBudget()},
-		{"symbol", link.Thresholds{WaveformMinDB: math.Inf(1), SymbolMinDB: math.Inf(-1)}},
+		{"budget", link.AllBudget(), 0},
+		{"budget-chunked", link.AllBudget(), 97},
+		{"symbol", link.Thresholds{WaveformMinDB: math.Inf(1), SymbolMinDB: math.Inf(-1)}, 0},
 	}
 	for _, l := range ladders {
-		if l.name == "symbol" && raceEnabled {
-			continue // tier b's arena pool sheds at random under -race
+		if (l.name == "symbol" || l.chunk != 0) && raceEnabled {
+			// Under -race sync.Pool sheds at random: tier b's arena
+			// pool, and the chunk working sets, one Get per chunk.
+			continue
 		}
 		allocsFor := func(tags int) float64 {
+			chunk := l.chunk
+			if chunk == 0 {
+				chunk = tags
+			}
 			cfg := ScaleConfig{
 				APs: 9, CellM: 32,
 				Tags: tags, Seed: 4242,
 				FramesPerTag: 2,
-				chunkSize:    tags, // one chunk: isolate per-tag from per-chunk cost
+				chunkSize:    chunk,
 				Tiers:        &l.tiers,
 			}
 			s, err := NewScale(cfg)
@@ -309,7 +343,7 @@ func TestScaleCalibrationMatchesLinkBudget(t *testing.T) {
 	mean, variance := 0.0, 0.0
 	for i := 0; i < cfg.Tags; i++ {
 		_, snrDB, _ := s.TagAssignment(i)
-		p := bud.SuccessProb(s.cfg.Rate, rfmath.FromDB(snrDB)*s.rateSNRScale, s.airBits)
+		p := bud.SuccessProb(scaleRate, rfmath.FromDB(snrDB)*scaleSNRScale, s.airBits)
 		mean += float64(cfg.FramesPerTag) * p
 		variance += float64(cfg.FramesPerTag) * p * (1 - p)
 	}
@@ -320,6 +354,57 @@ func TestScaleCalibrationMatchesLinkBudget(t *testing.T) {
 	if z > link.ZThreshold {
 		t.Fatalf("deployment delivered %d frames vs closed-form expectation %.1f (sigma %.1f): z=%.1f",
 			rep.FramesOK, mean, math.Sqrt(variance), z)
+	}
+}
+
+// TestScaleBudgetMatchesReferenceLoop holds the tier-c bracket table
+// to the outcomes it replaces: on the all-budget ladder, Run's report
+// must equal one built by a plain per-frame loop that compares every
+// draw of each tag's stream against the closed-form SuccessProb.
+func TestScaleBudgetMatchesReferenceLoop(t *testing.T) {
+	tiers := link.AllBudget()
+	var bud link.Budget
+	for seed := int64(1); seed <= 5; seed++ {
+		for _, frames := range []int{1, 2, 4, 7} {
+			cfg := scaleCfg()
+			cfg.Tags = 3000
+			cfg.Seed = seed
+			cfg.FramesPerTag = frames
+			cfg.Tiers = &tiers
+			s, err := NewScale(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rep, err := s.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := make([]ScaleCell, cfg.APs)
+			for a := range want {
+				want[a].AP = a
+			}
+			for i := 0; i < cfg.Tags; i++ {
+				x, y := s.tagPos(i)
+				a, snr := s.assign(x, y)
+				p := bud.SuccessProb(scaleRate, snr*scaleSNRScale, s.airBits)
+				st := par.NewStream(seed, streamScaleLinkBase+uint64(link.TierBudget)*scaleTierStride+uint64(i))
+				c := &want[a]
+				c.Tags++
+				c.TierTags[link.TierBudget]++
+				c.SNRSumMilliDB += int64(math.Round(10 * math.Log10(snr) * 1000))
+				for f := 0; f < frames; f++ {
+					if st.Float64() < p {
+						c.FramesOK++
+					} else {
+						c.FramesLost++
+					}
+				}
+			}
+			if !reflect.DeepEqual(rep.Cells, want) {
+				t.Fatalf("seed %d, %d frames/tag: Run's cells differ from the reference loop:\nrun:  %+v\nwant: %+v",
+					seed, frames, rep.Cells, want)
+			}
+		}
 	}
 }
 
