@@ -196,11 +196,17 @@ func better(snr float64, a int, bestSNR float64, best int) bool {
 // cover it: that row is scanned only when the tag's own row and the
 // one south of it hold no covering AP, for the fallback, or when
 // rounding has put the row's APs level with the tag.
+//
+// Most tags need no scan at all: see ownCell.
 // TestScaleAssignStableUnderReEnumeration pins assign to assignFull on
-// complete and ragged grids.
+// complete and ragged grids, and TestAssignOwnCellMatchesFullScan pins
+// the own-cell return at the points where its guards are tight.
 func (g *apGrid) assign(x, y float64) (best int, bestSNR float64) {
 	cc := int(x / g.cellM)
 	cr := int(y / g.cellM)
+	if a, snr, ok := g.ownCell(cc, cr, x, y); ok {
+		return a, snr
+	}
 	c0, c1 := max(cc-1, 0), min(cc+1, g.cols-1)
 	best, bestSNR = -1, math.Inf(-1)
 	fallback, fallbackSNR := -1, math.Inf(-1)
@@ -223,10 +229,56 @@ func (g *apGrid) assign(x, y float64) (best int, bestSNR float64) {
 			}
 		}
 	}
-	if best >= 0 {
-		return best, bestSNR
+	if best < 0 {
+		best, bestSNR = fallback, fallbackSNR
 	}
-	return fallback, fallbackSNR
+	if !(bestSNR >= minNormal) {
+		// An SNR that underflowed (at distances beyond ~1e77 m) can tie
+		// with APs outside the neighbourhood, where the tie rule may
+		// prefer a lower index.
+		return g.assignFull(x, y, nil)
+	}
+	return best, bestSNR
+}
+
+// ownCellDX bounds, as a fraction of the pitch, how far east or west of
+// its own-cell AP a tag may stand for ownCell to decide it: the same-row
+// neighbours then sit at least 0.51 pitches away, a squared-distance gap
+// of 0.02 pitch² that no rounding closes.
+const ownCellDX = 0.49
+
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
+// ownCell decides association without a scan when the AP of the tag's
+// own cell (cc, cr) must win: it exists and covers the tag, the tag is
+// within ownCellDX pitches of it east-west and outside the minimum-range
+// clamp (so its SNR is finite), its SNR is a normal float, and the row
+// north of the cell lies strictly north of the tag. Every AP of that row
+// or beyond then faces away from the tag and cannot cover it; every
+// other AP is at least 0.02 pitch² farther in squared distance, so its
+// SNR is strictly lower (a normal SNR leaves room below it). Both hold
+// on ragged grids, since only the own-cell AP is read. ok is false when
+// any guard fails, and assign scans.
+func (g *apGrid) ownCell(cc, cr int, x, y float64) (a int, snr float64, ok bool) {
+	if cc < 0 || cc >= g.cols || cr < 0 {
+		return 0, 0, false
+	}
+	a = cr*g.cols + cc
+	if a >= g.aps || (cr+1 < g.rows && !(float64(cr+1)*g.cellM > y)) {
+		return 0, 0, false
+	}
+	// The same expressions as snrAt, so the SNR is bit-identical.
+	dx, dy := x-g.apX[a], y-g.apY[a]
+	d2 := dx*dx + dy*dy
+	if !(math.Abs(dx) < ownCellDX*g.cellM) || !(d2 > minAssocDistM*minAssocDistM) {
+		return 0, 0, false
+	}
+	snr = g.snr1m / (d2 * d2)
+	if !(snr >= minNormal) || !g.coversAt(a, x, y) {
+		return 0, 0, false
+	}
+	return a, snr, true
 }
 
 // assignFull is assign by exhaustive scan over every AP, in index

@@ -49,7 +49,8 @@ type ScaleConfig struct {
 	// FramesPerTag is how many poll frames each tag attempts (4 by
 	// default).
 	FramesPerTag int
-	// PayloadBytes sizes each frame's payload (32 by default).
+	// PayloadBytes sizes each frame's payload (32 by default; at most
+	// frame.MaxPayload).
 	PayloadBytes int
 	// Seed drives all randomness via par.Derive.
 	Seed int64
@@ -60,14 +61,32 @@ type ScaleConfig struct {
 	// (reservoir quantiles and log-histograms; O(1) state per family).
 	Obs *obs.Handle
 	// chunkSize is the tag-index block one pool shard processes
-	// (scaleChunkSize unless a test sets it). Chunk boundaries depend
-	// only on Tags and the chunk size, never on the worker count, so
-	// results are chunking-stable.
+	// (scaleChunkFor(Tags) unless a test sets it). Chunk boundaries
+	// depend only on Tags and the chunk size, never on the worker
+	// count, so results are chunking-stable.
 	chunkSize int
 }
 
-// scaleChunkSize is the default tag-index block of one pool shard.
+// scaleChunkSize is the largest tag-index block of one pool shard,
+// and the default chunk of every population of 32,768 tags or more.
 const scaleChunkSize = 4096
+
+// scaleChunkFanout is how many chunks a smaller population is cut
+// into, so that a small Run still fans out over the pool, and
+// scaleMinChunk floors the chunk so a tiny one does not pay a pool
+// claim and a chunk set-up for a handful of tags.
+const (
+	scaleChunkFanout = 8
+	scaleMinChunk    = 512
+)
+
+// scaleChunkFor returns the default chunk size of a tags-tag
+// population: ceil(tags/scaleChunkFanout), clamped to
+// [scaleMinChunk, scaleChunkSize]. It depends only on the population,
+// never on the worker count.
+func scaleChunkFor(tags int) int {
+	return min(scaleChunkSize, max(scaleMinChunk, (tags+scaleChunkFanout-1)/scaleChunkFanout))
+}
 
 // scaleRate is the rate every scale-path tag polls at: ProbeRate, the
 // mid-ladder entry the deployment probes with. Its alphabet is also
@@ -87,7 +106,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 		c.PayloadBytes = 32
 	}
 	if c.chunkSize == 0 {
-		c.chunkSize = scaleChunkSize
+		c.chunkSize = scaleChunkFor(c.Tags)
 	}
 	return c
 }
@@ -209,6 +228,9 @@ func NewScale(cfg ScaleConfig) (*ScaleDeployment, error) {
 	}
 	if cfg.FramesPerTag < 1 {
 		return nil, fmt.Errorf("net: frames per tag must be >= 1, got %d", cfg.FramesPerTag)
+	}
+	if cfg.PayloadBytes < 0 || cfg.PayloadBytes > frame.MaxPayload {
+		return nil, fmt.Errorf("net: payload bytes must be in [1,%d], got %d", frame.MaxPayload, cfg.PayloadBytes)
 	}
 	g, err := newGrid(cfg.APs, 0, cfg.CellM, scaleRate.Mod.Name)
 	if err != nil {

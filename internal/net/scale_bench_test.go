@@ -14,8 +14,10 @@ import (
 // tier-b engines do most of the work, and "budget" with every tag on
 // the closed-form tier. The plain cases run serially; the "-par" cases
 // fan out over a pool of GOMAXPROCS workers, so contention between
-// chunks shows (ladder-par runs four default chunks, not one). One op
-// is one Run; tags/s is reported.
+// chunks shows (ladder-par runs 8 default chunks of 2,048 tags).
+// "light-par" is the light-read shape: 4,096 tags on the default
+// ladder over the pool, which the default chunking cuts into 8 chunks
+// of 512. One op is one Run; tags/s is reported.
 //
 //	go test -run NONE -bench ScaleRun ./internal/net
 func BenchmarkScaleRun(b *testing.B) {
@@ -31,6 +33,7 @@ func BenchmarkScaleRun(b *testing.B) {
 		{"budget", link.AllBudget(), 65536, nil},
 		{"ladder-par", link.DefaultThresholds(), 16384, pool},
 		{"budget-par", link.AllBudget(), 65536, pool},
+		{"light-par", link.DefaultThresholds(), 4096, pool},
 	} {
 		b.Run(bc.name, func(b *testing.B) {
 			s, err := NewScale(ScaleConfig{

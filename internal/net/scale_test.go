@@ -8,6 +8,7 @@ import (
 	"sync"
 	"testing"
 
+	"mmtag/internal/frame"
 	"mmtag/internal/link"
 	"mmtag/internal/par"
 	"mmtag/internal/rfmath"
@@ -45,23 +46,71 @@ func runScale(t *testing.T, cfg ScaleConfig) *ScaleReport {
 // chunks run serially, on a pool, or with a different chunk size
 // entirely — every tag is a pure function of (seed, index) and the
 // per-chunk merge commutes. Chunk size 1 merges once per tag; chunk
-// size == Tags merges a single chunk.
+// size == Tags merges a single chunk; chunk 0 is the default rule,
+// which cuts 800 tags into 2 chunks and 4,096 into 8.
 func TestScaleDeterministicAcrossParallelism(t *testing.T) {
-	serial := runScale(t, scaleCfg())
-	for _, tc := range []struct{ workers, chunk int }{
-		{8, 97}, {0, 256}, {2, 1}, {8, 1}, {2, 800}, {8, 800},
+	for _, tags := range []int{800, 4096} {
+		ref := scaleCfg()
+		ref.Tags = tags
+		serial := runScale(t, ref)
+		for _, tc := range []struct{ workers, chunk int }{
+			{8, 97}, {0, 256}, {2, 1}, {8, 1}, {2, tags}, {8, tags},
+			{1, 0}, {2, 0}, {8, 0},
+		} {
+			cfg := ref
+			cfg.chunkSize = tc.chunk
+			if tc.workers > 0 {
+				pool := par.New(par.Config{Workers: tc.workers})
+				defer pool.Close()
+				cfg.Pool = pool
+			}
+			if got := runScale(t, cfg); !reflect.DeepEqual(serial, got) {
+				t.Fatalf("%d tags, %d workers, chunk %d: report differs from serial chunk 97:\nserial: %+v\ngot:    %+v",
+					tags, tc.workers, tc.chunk, serial, got)
+			}
+		}
+	}
+}
+
+// TestScaleChunkRule pins the default chunking: a function of Tags
+// alone (no other field, the pool included, moves it), 4,096-tag chunks
+// for every population of 32,768 or more, at most scaleChunkFanout
+// chunks below that, and more than one chunk at 4,096 tags so a small
+// Run fans out. A test's chunkSize override is kept.
+func TestScaleChunkRule(t *testing.T) {
+	pool := par.New(par.Config{Workers: 8})
+	defer pool.Close()
+	prev := 0
+	for _, tags := range []int{
+		1, 511, 512, 4095, 4096, 4097, 20000, 32767,
+		32768, 32769, 50000, 1_000_000, maxScaleTags,
 	} {
-		cfg := scaleCfg()
-		cfg.chunkSize = tc.chunk
-		if tc.workers > 0 {
-			pool := par.New(par.Config{Workers: tc.workers})
-			defer pool.Close()
-			cfg.Pool = pool
+		chunk := ScaleConfig{Tags: tags}.withDefaults().chunkSize
+		other := ScaleConfig{
+			APs: 256, CellM: 8, Tags: tags, FramesPerTag: 9, PayloadBytes: 100,
+			Seed: 7, Pool: pool,
+		}.withDefaults().chunkSize
+		if chunk != other {
+			t.Fatalf("%d tags: chunk %d with defaults, %d with other fields set", tags, chunk, other)
 		}
-		if got := runScale(t, cfg); !reflect.DeepEqual(serial, got) {
-			t.Fatalf("%d workers, chunk %d: report differs from serial chunk 97:\nserial: %+v\ngot:    %+v",
-				tc.workers, tc.chunk, serial, got)
+		if chunk < prev || chunk < scaleMinChunk || chunk > scaleChunkSize {
+			t.Fatalf("%d tags: chunk %d outside [%d,%d] or below the %d of a smaller population",
+				tags, chunk, scaleMinChunk, scaleChunkSize, prev)
 		}
+		prev = chunk
+		chunks := (tags + chunk - 1) / chunk
+		if tags >= 32768 && chunk != scaleChunkSize {
+			t.Fatalf("%d tags: chunk %d, want %d", tags, chunk, scaleChunkSize)
+		}
+		if tags < 32768 && chunks > scaleChunkFanout {
+			t.Fatalf("%d tags: %d chunks, want at most %d", tags, chunks, scaleChunkFanout)
+		}
+		if tags == 4096 && chunks < 2 {
+			t.Fatalf("4096 tags run as %d chunk", chunks)
+		}
+	}
+	if got := (ScaleConfig{Tags: 50000, chunkSize: 97}).withDefaults().chunkSize; got != 97 {
+		t.Fatalf("chunkSize override 97 became %d", got)
 	}
 }
 
@@ -218,16 +267,20 @@ func TestScaleReportTotalsConsistent(t *testing.T) {
 // on an all-symbol ladder (tier b reseeds one chunk-wide generator and
 // its fused BER body borrows pooled scratch). The chunked budget case
 // runs 21 and 165 chunks: the tier-c bracket table is built once per
-// deployment, so the chunk count must not show either.
+// deployment, so the chunk count must not show either. The default
+// chunking case straddles the 32,768-tag threshold: 8 chunks of 1,024
+// tags against 16 of 4,096.
 func TestScaleRunAllocsOAPs(t *testing.T) {
 	ladders := []struct {
-		name  string
-		tiers link.Thresholds
-		chunk int // 0: one chunk, isolating per-tag from per-chunk cost
+		name         string
+		tiers        link.Thresholds
+		chunk        int // 0: one chunk, isolating per-tag from per-chunk cost; -1: the default rule
+		small, large int
 	}{
-		{"budget", link.AllBudget(), 0},
-		{"budget-chunked", link.AllBudget(), 97},
-		{"symbol", link.Thresholds{WaveformMinDB: math.Inf(1), SymbolMinDB: math.Inf(-1)}, 0},
+		{"budget", link.AllBudget(), 0, 2000, 16000},
+		{"budget-chunked", link.AllBudget(), 97, 2000, 16000},
+		{"budget-default", link.AllBudget(), -1, 8192, 65536},
+		{"symbol", link.Thresholds{WaveformMinDB: math.Inf(1), SymbolMinDB: math.Inf(-1)}, 0, 2000, 16000},
 	}
 	for _, l := range ladders {
 		if (l.name == "symbol" || l.chunk != 0) && raceEnabled {
@@ -237,8 +290,11 @@ func TestScaleRunAllocsOAPs(t *testing.T) {
 		}
 		allocsFor := func(tags int) float64 {
 			chunk := l.chunk
-			if chunk == 0 {
+			switch chunk {
+			case 0:
 				chunk = tags
+			case -1:
+				chunk = 0
 			}
 			cfg := ScaleConfig{
 				APs: 9, CellM: 32,
@@ -257,11 +313,11 @@ func TestScaleRunAllocsOAPs(t *testing.T) {
 				}
 			})
 		}
-		small := allocsFor(2000)
-		large := allocsFor(16000)
+		small := allocsFor(l.small)
+		large := allocsFor(l.large)
 		if large > small+8 {
-			t.Fatalf("%s ladder: allocations scale with population: %.0f allocs at 2k tags vs %.0f at 16k",
-				l.name, small, large)
+			t.Fatalf("%s ladder: allocations scale with population: %.0f allocs at %d tags vs %.0f at %d",
+				l.name, small, l.small, large, l.large)
 		}
 	}
 }
@@ -444,6 +500,41 @@ func TestScaleConfigValidation(t *testing.T) {
 	} {
 		if _, err := NewScale(cfg); err == nil {
 			t.Errorf("config %+v accepted, want error", cfg)
+		}
+	}
+}
+
+// TestScalePayloadBounds holds NewScale to the payloads a frame can
+// carry: 0 selects the 32-byte default and 1..frame.MaxPayload run,
+// while a negative payload (which would deliver negative bits) and one
+// past frame.MaxPayload (which only tiers a and b would refuse, inside
+// Run) fail at construction.
+func TestScalePayloadBounds(t *testing.T) {
+	tiers := link.AllBudget()
+	for _, tc := range []struct {
+		payload, want int // want: the effective payload, or -1 for an error
+	}{
+		{-5, -1}, {-1, -1}, {0, 32}, {1, 1}, {frame.MaxPayload, frame.MaxPayload},
+		{frame.MaxPayload + 1, -1}, {1 << 20, -1},
+	} {
+		s, err := NewScale(ScaleConfig{APs: 4, Tags: 10, PayloadBytes: tc.payload, Tiers: &tiers, Seed: 1})
+		if tc.want < 0 {
+			if err == nil {
+				t.Errorf("payload %d accepted, want error", tc.payload)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("payload %d: %v", tc.payload, err)
+		}
+		rep, err := s.Run()
+		if err != nil {
+			t.Fatalf("payload %d: %v", tc.payload, err)
+		}
+		if rep.PayloadBytes != tc.want || rep.DeliveredBits != rep.FramesOK*int64(tc.want)*8 ||
+			rep.AirBits <= tc.want*8 {
+			t.Errorf("payload %d: report payload %d, %d air bits, %d bits from %d frames",
+				tc.payload, rep.PayloadBytes, rep.AirBits, rep.DeliveredBits, rep.FramesOK)
 		}
 	}
 }
