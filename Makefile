@@ -110,5 +110,6 @@ fuzz:
 	$(GO) test -run xxx -fuzz FuzzLinkBudgetOutcome -fuzztime 10s ./internal/link/
 	$(GO) test -run xxx -fuzz FuzzOffsetImmunePeak -fuzztime 10s ./internal/dsp/
 	$(GO) test -run xxx -fuzz FuzzTagIDParity -fuzztime 10s ./internal/router/
+	$(GO) test -run xxx -fuzz FuzzShardTagsMerge -fuzztime 10s ./internal/router/
 	$(GO) test -run xxx -fuzz FuzzBlockedAt -fuzztime 10s ./internal/sim/
 	$(GO) test -run xxx -fuzz FuzzParseSpec -fuzztime 10s ./internal/fault/

@@ -24,8 +24,9 @@
 // With -metrics the harness itself is metered: per-experiment wall time
 // and row counts land in a registry snapshot written in Prometheus text
 // format (or JSON when the path ends in .json), alongside the pool's
-// par_tasks_total / par_queue_depth series. -pprof captures heap and
-// allocs profiles plus a GC summary after the run.
+// par_tasks_total / par_queue_depth series. -pprof captures a CPU
+// profile labelled by experiment, heap and allocs profiles and a GC
+// summary, then prints the `go tool pprof` commands that read it.
 //
 // -benchjson switches the harness into measurement mode: each selected
 // experiment runs -benchreps times on a single worker, and the minimum
@@ -51,7 +52,6 @@ import (
 	"mmtag/internal/obs"
 	"mmtag/internal/obs/serve"
 	"mmtag/internal/par"
-	"mmtag/internal/profcost"
 	"mmtag/internal/trace"
 )
 
@@ -138,12 +138,10 @@ func main() {
 	if srv != nil {
 		publish = srv.Publish
 	}
-	suiteStart := time.Now()
 	tables, err := runMetered(x, id, *seed, reg, runID, publish)
 	if err != nil {
 		fail(err)
 	}
-	suiteWall := time.Since(suiteStart)
 	if *out == "" {
 		printTables(os.Stdout, tables, *csv)
 	} else {
@@ -172,32 +170,24 @@ func main() {
 		if err := writeProfiles(*pprofDir, os.Stdout); err != nil {
 			fail(err)
 		}
-		if err := writeCostTable(*pprofDir, suiteWall, os.Stdout); err != nil {
-			fail(err)
-		}
+		writePprofCommands(os.Stdout, *pprofDir, selectIDs(id))
 	}
 	if srv != nil {
 		srv.WaitSignal(os.Stderr)
 	}
 }
 
-// writeCostTable decodes the captured CPU profile and prints the
-// per-experiment, per-function cost attribution table. A profile with
-// no samples (the suite finished between SIGPROF ticks) is reported,
-// not treated as an error.
-func writeCostTable(dir string, wall time.Duration, w io.Writer) error {
-	path := filepath.Join(dir, "cpu.pprof")
-	p, err := profcost.ParseFile(path)
-	if err != nil {
-		return fmt.Errorf("decode %s: %w", path, err)
+// writePprofCommands prints the commands that total dir/cpu.pprof by
+// experiment label and list one experiment's flat/cum cost per
+// function. pprof matches tag values as unanchored regexps, so a
+// multi-experiment run gets an anchored template (E1 also matches E12).
+func writePprofCommands(w io.Writer, dir string, ids []string) {
+	path, focus := filepath.Join(dir, "cpu.pprof"), "'^ID$'"
+	if len(ids) == 1 {
+		focus = ids[0]
 	}
-	if len(p.Samples) == 0 {
-		fmt.Fprintf(w, "\ncpu cost attribution: no samples in %s (suite wall %s was too short for the profiler)\n", path, wall)
-		return nil
-	}
-	fmt.Fprintf(w, "\ncpu cost attribution by experiment (%s):\n", path)
-	profcost.Render(w, profcost.Attribute(p, "experiment"), 10)
-	return nil
+	fmt.Fprintf(w, "\ncpu cost by experiment:\n  go tool pprof -tags %s\n"+
+		"  go tool pprof -top -relative_percentages -tagfocus=experiment=%s %s\n", path, focus, path)
 }
 
 // printTables writes each table body followed by a blank separator
@@ -223,7 +213,7 @@ func printTables(w io.Writer, tables []*eval.Table, csv bool) {
 // Each experiment executes under a pprof goroutine label
 // experiment=<ID>, which the worker pool propagates to the goroutines
 // running its trial grid, so a -pprof CPU capture attributes samples
-// per experiment (see internal/profcost). When publish is non-nil a
+// per experiment (go tool pprof -tags). When publish is non-nil a
 // progress span is streamed per finished experiment.
 func runMetered(x eval.Exec, id string, seed int64, reg *obs.Registry, runID string, publish func(trace.Event)) ([]*eval.Table, error) {
 	if reg == nil {
@@ -238,14 +228,7 @@ func runMetered(x eval.Exec, id string, seed int64, reg *obs.Registry, runID str
 		"Table rows produced per experiment.", "experiment")
 	total := reg.Counter("bench_experiments_total",
 		"Experiments executed by this bench invocation.")
-	ids := []string{id}
-	if strings.EqualFold(id, "all") {
-		ids = eval.ExperimentIDs()
-	} else if strings.EqualFold(id, "chaos") {
-		ids = eval.ChaosExperimentIDs()
-	} else if strings.EqualFold(id, "net") {
-		ids = eval.NetExperimentIDs()
-	}
+	ids := selectIDs(id)
 	results := make([][]*eval.Table, len(ids))
 	err := x.Pool.Map(x.Ctx, len(ids), func(i int) error {
 		eid := ids[i]
@@ -287,6 +270,20 @@ func runMetered(x eval.Exec, id string, seed int64, reg *obs.Registry, runID str
 		out = append(out, tables...)
 	}
 	return out, nil
+}
+
+// selectIDs expands a selection ("all", "chaos", "net" or one ID) into
+// the experiment IDs it runs, in report order.
+func selectIDs(id string) []string {
+	switch {
+	case strings.EqualFold(id, "all"):
+		return eval.ExperimentIDs()
+	case strings.EqualFold(id, "chaos"):
+		return eval.ChaosExperimentIDs()
+	case strings.EqualFold(id, "net"):
+		return eval.NetExperimentIDs()
+	}
+	return []string{id}
 }
 
 // contextOrBackground papers over eval.Exec's optional context.
@@ -385,21 +382,13 @@ func run(x eval.Exec, id string, seed int64) ([]*eval.Table, error) {
 	if strings.EqualFold(id, "all") {
 		return eval.RunSuite(x, nil, seed)
 	}
-	for sub, subIDs := range map[string]func() []string{
-		"chaos": eval.ChaosExperimentIDs,
-		"net":   eval.NetExperimentIDs,
-	} {
-		if strings.EqualFold(id, sub) {
-			var out []*eval.Table
-			for _, cid := range subIDs() {
-				tables, err := eval.RunExperiment(x, cid, nil, seed)
-				if err != nil {
-					return nil, err
-				}
-				out = append(out, tables...)
-			}
-			return out, nil
+	var out []*eval.Table
+	for _, eid := range selectIDs(id) {
+		tables, err := eval.RunExperiment(x, eid, nil, seed)
+		if err != nil {
+			return nil, err
 		}
+		out = append(out, tables...)
 	}
-	return eval.RunExperiment(x, id, nil, seed)
+	return out, nil
 }

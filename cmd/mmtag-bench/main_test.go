@@ -8,8 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"time"
-
 	"mmtag/internal/eval"
 	"mmtag/internal/obs"
 	"mmtag/internal/par"
@@ -141,9 +139,10 @@ func TestRunMeteredParallelMatchesPlainRun(t *testing.T) {
 }
 
 // TestCPUProfileAndCostTable exercises the -pprof CPU path end to end:
-// capture around a labeled experiment run, then decode the profile into
-// the per-experiment cost table. A run short enough to dodge every
-// SIGPROF tick still must produce the (empty-profile) report.
+// capture around a labeled experiment run, then print the go tool pprof
+// commands that read the per-experiment cost table out of the capture.
+// Both must name the file the capture wrote; a single-experiment run
+// focuses on its own label, a suite run on an anchored template.
 func TestCPUProfileAndCostTable(t *testing.T) {
 	dir := t.TempDir()
 	stop, err := startCPUProfile(dir)
@@ -156,14 +155,23 @@ func TestCPUProfileAndCostTable(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop()
-	if _, err := os.Stat(filepath.Join(dir, "cpu.pprof")); err != nil {
+	path := filepath.Join(dir, "cpu.pprof")
+	if _, err := os.Stat(path); err != nil {
 		t.Fatalf("missing cpu.pprof: %v", err)
 	}
 	var buf bytes.Buffer
-	if err := writeCostTable(dir, time.Second, &buf); err != nil {
-		t.Fatal(err)
+	writePprofCommands(&buf, dir, selectIDs("E3"))
+	for _, want := range []string{
+		"go tool pprof -tags " + path + "\n",
+		"go tool pprof -top -relative_percentages -tagfocus=experiment=E3 " + path + "\n",
+	} {
+		if !strings.Contains(buf.String(), want) {
+			t.Errorf("pprof commands %q lack %q", buf.String(), want)
+		}
 	}
-	if !strings.Contains(buf.String(), "cpu cost attribution") {
-		t.Errorf("cost table output = %q", buf.String())
+	buf.Reset()
+	writePprofCommands(&buf, dir, selectIDs("all"))
+	if want := "-tagfocus=experiment='^ID$' " + path + "\n"; !strings.Contains(buf.String(), want) {
+		t.Errorf("suite pprof commands %q lack %q", buf.String(), want)
 	}
 }

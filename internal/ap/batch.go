@@ -88,7 +88,7 @@ func (d *Demodulator) DemodulateBatchTo(dst []UplinkResult, rx *dsp.Batch, sps i
 // kernel behind DemodulateBatchTo, one waveform at a time. It is
 // deliberately one function: profiling attributes the whole receive
 // pass (minus the dsp kernels it calls) to this frame, so
-// `mmtag-bench -pprof` cost tables name the batch cycles instead of
+// a `mmtag-bench -pprof` capture names the batch cycles instead of
 // smearing them across stage helpers.
 func (d *Demodulator) demodBatchKernel(res []UplinkResult, rx *dsp.Batch, sps int, ar *dsp.Arena) {
 	n := rx.Lanes()

@@ -1,9 +1,11 @@
 package par
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
+	"runtime/pprof"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -271,5 +273,70 @@ func TestMapEdgeCases(t *testing.T) {
 	}
 	if err := p.Map(nil, 4, func(int) error { return nil }); err != nil { //nolint:staticcheck // nil ctx is part of the contract
 		t.Fatal(err)
+	}
+}
+
+// TestWorkerCarriesCallerLabels pins the pprof label hand-off that lets
+// a CPU profile attribute pool work to its caller (mmtag-bench's
+// experiment=ID): a worker running a shard carries the Map caller's
+// labels, and drops them once the job is done. Two blocking shards on a
+// two-goroutine pool force the worker to take one, since the caller can
+// only run the other.
+func TestWorkerCarriesCallerLabels(t *testing.T) {
+	const label = `# labels: {"experiment":"T1"}`
+	p := New(Config{Workers: 2})
+	defer p.Close()
+	// workerRecords returns the goroutine-profile records whose stack
+	// runs through a pool worker.
+	workerRecords := func() []string {
+		var buf bytes.Buffer
+		if err := pprof.Lookup("goroutine").WriteTo(&buf, 1); err != nil {
+			t.Fatal(err)
+		}
+		var out []string
+		for _, rec := range strings.Split(buf.String(), "\n\n") {
+			if strings.Contains(rec, "par.(*Pool).worker") {
+				out = append(out, rec)
+			}
+		}
+		return out
+	}
+	started, release := make(chan struct{}, 2), make(chan struct{})
+	var labelled bool
+	pprof.Do(context.Background(), pprof.Labels("experiment", "T1"), func(ctx context.Context) {
+		go func() {
+			<-started
+			<-started
+			for _, rec := range workerRecords() {
+				labelled = labelled || strings.Contains(rec, label)
+			}
+			close(release)
+		}()
+		if err := p.Map(ctx, 2, func(int) error {
+			started <- struct{}{}
+			<-release
+			return nil
+		}); err != nil {
+			t.Error(err)
+		}
+	})
+	if !labelled {
+		t.Fatal("no pool worker running a shard carried the caller's labels")
+	}
+	// The worker resets its labels after its last step, which may land
+	// just after Map returns; give it a moment before calling it stuck.
+	deadline := time.Now().Add(2 * time.Second)
+	for {
+		stuck := false
+		for _, rec := range workerRecords() {
+			stuck = stuck || strings.Contains(rec, label)
+		}
+		if !stuck {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("an idle pool worker still carries the finished job's labels")
+		}
+		time.Sleep(time.Millisecond)
 	}
 }

@@ -210,10 +210,41 @@ type shardTagsBody struct {
 	Tags       []json.RawMessage `json:"tags"`
 }
 
+// shardTags decodes a shard's /v1/tags body and holds it to the shard
+// contract (net.Deployment.TagStates: every tag in ID order): each
+// entry must be a JSON object whose integer id the shard owns, in
+// strictly ascending order. A body that breaks it is rejected whole, so
+// a faulty shard can neither duplicate nor drop tags in the merge.
+func shardTags(spec net.ShardSpec, raw []byte) (shardTagsBody, []tagEntry, error) {
+	var body shardTagsBody
+	if err := json.Unmarshal(raw, &body); err != nil {
+		return body, nil, err
+	}
+	entries := make([]tagEntry, 0, len(body.Tags))
+	last := spec.TagBase
+	for i, t := range body.Tags {
+		var idOnly struct {
+			ID int `json:"id"`
+		}
+		if len(t) == 0 || t[0] != '{' {
+			return body, nil, fmt.Errorf("tag %d is not an object", i)
+		}
+		if err := json.Unmarshal(t, &idOnly); err != nil {
+			return body, nil, fmt.Errorf("tag %d: %v", i, err)
+		}
+		if !spec.OwnsTag(idOnly.ID) || idOnly.ID <= last {
+			return body, nil, fmt.Errorf("tag %d: id %d not owned or out of order", i, idOnly.ID)
+		}
+		last = idOnly.ID
+		entries = append(entries, tagEntry{id: idOnly.ID, raw: t})
+	}
+	return body, entries, nil
+}
+
 // handleTags scatter-gathers GET /v1/tags: merge every answering
 // shard's tag list (shard order IS global ID order — the partition is
-// contiguous and ascending), account the missing shards, and refresh
-// the per-shard stale caches.
+// contiguous and ascending), account the missing or rejected shards,
+// and refresh the per-shard stale caches.
 func (rt *Router) handleTags(w http.ResponseWriter, r *http.Request) {
 	got, ok := rt.reserve(len(rt.shards))
 	if !ok {
@@ -230,26 +261,18 @@ func (rt *Router) handleTags(w http.ResponseWriter, r *http.Request) {
 		if !res.OK {
 			continue
 		}
-		var body shardTagsBody
-		if err := json.Unmarshal(res.body, &body); err != nil {
+		body, entries, err := shardTags(rt.shards[i].spec, res.body)
+		if err != nil {
 			res.OK = false
 			res.Err = fmt.Sprintf("bad shard body: %v", err)
 			continue
 		}
 		res.Epoch = body.Epoch
 		res.Generation = body.Generation
-		cache := &tagsCache{at: time.Now(), epoch: body.Epoch, generation: body.Generation}
-		for _, raw := range body.Tags {
-			var idOnly struct {
-				ID int `json:"id"`
-			}
-			if err := json.Unmarshal(raw, &idOnly); err != nil {
-				continue
-			}
-			cache.entries = append(cache.entries, tagEntry{id: idOnly.ID, raw: raw})
-			merged = append(merged, raw)
+		for _, e := range entries {
+			merged = append(merged, e.raw)
 		}
-		rt.shards[i].tags.Store(cache)
+		rt.shards[i].tags.Store(&tagsCache{at: time.Now(), epoch: body.Epoch, generation: body.Generation, entries: entries})
 	}
 	m := meta(results)
 	rt.fanout.With("tags").Observe(time.Since(start).Seconds())

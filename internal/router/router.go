@@ -221,9 +221,8 @@ func trimSlash(s string) string {
 	return s
 }
 
-// Addr and URL expose the resolved listen address.
-func (rt *Router) Addr() string { return rt.obsSrv.Addr() }
-func (rt *Router) URL() string  { return rt.obsSrv.URL() }
+// URL is the base URL of the resolved listen address.
+func (rt *Router) URL() string { return rt.obsSrv.URL() }
 
 // Registry returns the router's metrics registry.
 func (rt *Router) Registry() *obs.Registry { return rt.reg }

@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -28,6 +29,7 @@ type stubShard struct {
 	missing    map[int]bool // owned IDs the stub 404s (dead tags)
 	failConfig bool         // refuse every POST /v1/config with 422
 	ack202     bool         // acknowledge POST with 202, apply async
+	rawTags    string       // when set, served verbatim as the /v1/tags list
 	configLog  []string     // specs applied, in order
 
 	srv *httptest.Server
@@ -65,6 +67,13 @@ func (s *stubShard) handler() http.Handler {
 	})
 	mux.HandleFunc("GET /v1/tags", func(w http.ResponseWriter, r *http.Request) {
 		pause()
+		s.mu.Lock()
+		raw := s.rawTags
+		s.mu.Unlock()
+		if raw != "" {
+			fmt.Fprintf(w, `{"epoch":7,"config_generation":0,"tags":%s}`, raw)
+			return
+		}
 		tags := []map[string]any{}
 		for id := s.spec.TagBase + 1; id <= s.spec.TagBase+s.spec.TagCount; id++ {
 			tags = append(tags, map[string]any{"id": id, "serving_ap": s.spec.APBase})
@@ -238,6 +247,46 @@ func TestSlowShardDegradesToPartial(t *testing.T) {
 		if stubs[2].spec.OwnsTag(tag.ID) {
 			t.Fatalf("tag %d from the timed-out shard leaked into the merge", tag.ID)
 		}
+	}
+}
+
+// TestBadShardBodyIsRejected pins the merge's half of "every global
+// tag appears exactly once": a shard whose tag list repeats an ID,
+// carries a non-integer ID or a null entry is a failed shard (207,
+// "bad shard body"), none of its tags reach the merge, and its stale
+// cache keeps the last good list.
+func TestBadShardBodyIsRejected(t *testing.T) {
+	for _, tc := range []struct{ name, raw string }{
+		{"duplicate_ids", `[{"id":1},{"id":2},{"id":1}]`},
+		{"string_id", `[{"id":"3"},{"id":4}]`},
+		{"null_entry", `[null,{"id":3},{"id":4}]`},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt, stubs := startFleet(t, 4, 4, 2, nil)
+			if code := getJSON(t, rt.URL()+"/v1/tags", nil); code != http.StatusOK {
+				t.Fatalf("priming scatter = %d", code)
+			}
+			primed := rt.shards[1].tags.Load()
+			stubs[1].mu.Lock()
+			stubs[1].rawTags = tc.raw
+			stubs[1].mu.Unlock()
+			var body struct {
+				gatherBody
+				Shards []shardResult `json:"shards"`
+			}
+			if code := getJSON(t, rt.URL()+"/v1/tags", &body); code != http.StatusMultiStatus {
+				t.Fatalf("/v1/tags = %d, want 207", code)
+			}
+			if body.ShardsOK != 1 || !body.Partial || !strings.Contains(body.Shards[1].Err, "bad shard body") {
+				t.Fatalf("accounting = %+v", body)
+			}
+			if len(body.Tags) != 2 || body.Tags[0].ID != 1 || body.Tags[1].ID != 2 {
+				t.Fatalf("merged %+v, want shard 0's tags 1 and 2 only", body.Tags)
+			}
+			if rt.shards[1].tags.Load() != primed {
+				t.Fatal("refreshed the stale cache from a rejected body")
+			}
+		})
 	}
 }
 

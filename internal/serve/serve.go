@@ -220,9 +220,8 @@ func Start(cfg Config) (*Daemon, error) {
 	return d, nil
 }
 
-// Addr and URL expose the resolved listen address.
-func (d *Daemon) Addr() string { return d.obsSrv.Addr() }
-func (d *Daemon) URL() string  { return d.obsSrv.URL() }
+// URL is the base URL of the resolved listen address.
+func (d *Daemon) URL() string { return d.obsSrv.URL() }
 
 // Registry returns the daemon's metrics registry (the final flush reads
 // it after drain).
